@@ -23,7 +23,8 @@ from latticecalc.sitegraph import lattice_window
 def run(names, lengths, radius):
     for name in names:
         phi = builtin_interaction(name)
-        target = len(consv_basis(phi, phi.states.base_index))
+        base = phi.states.base_index
+        target = len(consv_basis(phi, base))
         print(f"{name}  (radius {radius}, dim consv = {target})")
         print(f"  {'length':>6}  {'window':>10}  {'unknowns':>8}  "
               f"{'rank':>5}  {'dim':>4}  {'secs':>6}")
@@ -31,7 +32,7 @@ def run(names, lengths, radius):
             a = -(length // 2)
             graph = lattice_window(1, a, a + length)
             t0 = time.time()
-            rep = invariance_kernel(phi, radius, graph, 0)
+            rep = invariance_kernel(phi, radius, graph, base)
             print(f"  {length:>6}  [{a:>3},{a + length:>3}]  "
                   f"{rep.unknown_count:>8}  {rep.constraint_rank:>5}  "
                   f"{rep.dimension:>4}  {time.time() - t0:>6.2f}")

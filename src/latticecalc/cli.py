@@ -91,12 +91,18 @@ def _read_json(path: str):
 
 
 def _interaction_arg(token: str, inputs: dict) -> Interaction:
-    if token.endswith(".json") or Path(token).exists():
-        doc, digest = _read_json(token)
-        inputs["interaction"] = digest
-        return load_interaction(doc)
-    inputs["interaction"] = "builtin:" + token
-    return builtin_interaction(token)
+    """A builtin id names the builtin even when a file of that name exists."""
+    try:
+        phi = builtin_interaction(token)
+    except SchemaError:
+        if not (token.endswith(".json") or Path(token).exists()):
+            raise
+    else:
+        inputs["interaction"] = "builtin:" + token
+        return phi
+    doc, digest = _read_json(token)
+    inputs["interaction"] = digest
+    return load_interaction(doc)
 
 
 def _graph_arg(token: str, inputs: dict) -> SiteGraph:

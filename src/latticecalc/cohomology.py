@@ -30,11 +30,7 @@ from .errors import (
     SchemaError,
     WindowTooSmallError,
 )
-from .interaction import (
-    ConservedQuantity,
-    Interaction,
-    is_exchangeable,
-)
+from .interaction import ConservedQuantity, Interaction
 from .localfn import ExactSupportFunction
 from .sitegraph import LATTICE_Z, SiteGraph
 from .uniform import (
@@ -255,6 +251,16 @@ def _kernel_unknowns(phi: Interaction, radius: int, graph: SiteGraph, base: int)
     return unknowns
 
 
+def _kernel_index(unknowns):
+    """Column of each unknown, and the supports through each site in order."""
+    uid = {key: i for i, key in enumerate(unknowns)}
+    by_site: dict[int, list] = {}
+    for lam in dict.fromkeys(lam for lam, _ in unknowns):
+        for s in lam:
+            by_site.setdefault(s, []).append(lam)
+    return uid, by_site
+
+
 def _kernel_rows(
     phi: Interaction,
     radius: int,
@@ -264,12 +270,23 @@ def _kernel_rows(
     uid: dict,
     by_site: dict,
 ):
-    """Constraint rows: one per (transition or exchange, local pattern).
+    """Constraint rows: one per (transition at an inner edge, local pattern).
 
-    A row depends only on the configuration near its fired sites, so
-    enumerating local patterns with at most ``probe_bound`` occupied sites
+    A row depends only on the configuration near its fired edge, so
+    enumerating local patterns with at most ``probe_bound`` non-base sites
     yields exactly the rows contributed by every configuration of that
     support bound.
+
+    No row is emitted for exchanging two distant sites: for an exchangeable
+    interaction such a row already lies in the span of these.  Let x < y be
+    inner sites and P a pattern.  ``swap_path`` turns P into P^{xy} by
+    transitions at inner edges between x and y, and the row of the swap is
+    the telescoping sum of their rows.  The generator emits a step's row, up
+    to sign, when either end of the step has at most ``probe_bound``
+    non-base sites near the fired edge.  So the swap row is in the span
+    whenever no two consecutive pairs on a ``pair_exchange_path`` carry more
+    non-base states than the swapped pair.  Every builtin meets this: each
+    of its swaps is a single interaction edge.
     """
     a, b = graph.window
     k = graph.k
@@ -330,28 +347,6 @@ def _kernel_rows(
                     if row:
                         yield row
 
-    # exchange closure: swapping any two inner sites is reachable, so the
-    # difference along the composite move must vanish as well
-    if not is_exchangeable(phi):
-        return
-    inner_sites = [s for s in graph.vertices if lo <= s <= hi]
-    for i, x in enumerate(inner_sites):
-        for y in inner_sites[i + 1 :]:
-            region = region_around(x, y)
-            for pattern in _patterns(region, nonbase, probe_bound):
-                sx, sy = pattern.get(x, base), pattern.get(y, base)
-                if sx == sy:
-                    continue
-                after = dict(pattern)
-                for site, state in ((x, sy), (y, sx)):
-                    if state == base:
-                        after.pop(site, None)
-                    else:
-                        after[site] = state
-                row = row_for(pattern, after, (x, y))
-                if row:
-                    yield row
-
 
 def invariance_kernel(
     phi: Interaction,
@@ -364,8 +359,8 @@ def invariance_kernel(
 
     Unknowns are the exact-support table entries of all candidate components
     inside the window.  Constraints come from transitions fired inside the
-    inner window (so no component pokes outside the window) plus, for
-    exchangeable interactions, the composite exchange moves.  Components not
+    inner window (so no component pokes outside the window); composite
+    exchange moves add no rank, as ``_kernel_rows`` shows.  Components not
     contained in the inner window are boundary artifacts; the reported basis
     is the canonical basis of the kernel projected onto the inner window.
     """
@@ -387,15 +382,7 @@ def invariance_kernel(
     limit = caps.current().max_unknowns
     if len(unknowns) > limit:
         raise CapExceededError(f"{len(unknowns)} unknowns exceed cap {limit}")
-    uid = {key: i for i, key in enumerate(unknowns)}
-    by_site: dict[int, list] = {}
-    seen_lams = set()
-    for lam, _ in unknowns:
-        if lam in seen_lams:
-            continue
-        seen_lams.add(lam)
-        for s in lam:
-            by_site.setdefault(s, []).append(lam)
+    uid, by_site = _kernel_index(unknowns)
     reducer = linalg.RowReducer()
     for row in _kernel_rows(phi, radius, graph, base, p, uid, by_site):
         reducer.add(row)

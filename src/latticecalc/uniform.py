@@ -196,14 +196,7 @@ def _canonical_components(items) -> tuple:
     return tuple(out)
 
 
-def explicit_uniform(
-    states: StateSpace,
-    graph: SiteGraph,
-    base: int,
-    radius: int,
-    components: Mapping[ComponentKey, LocalFunction],
-) -> UniformFunction:
-    """Canonical explicit family; zero components are dropped, order normalized."""
+def _uniform(kind, states, graph, base, radius, components) -> UniformFunction:
     normalized = []
     for key, comp in components.items():
         if not isinstance(comp, ExactSupportFunction):
@@ -216,9 +209,20 @@ def explicit_uniform(
         graph=graph,
         base_index=base,
         radius=radius,
-        kind=EXPLICIT,
+        kind=kind,
         components=_canonical_components(normalized),
     )
+
+
+def explicit_uniform(
+    states: StateSpace,
+    graph: SiteGraph,
+    base: int,
+    radius: int,
+    components: Mapping[ComponentKey, LocalFunction],
+) -> UniformFunction:
+    """Canonical explicit family; zero components are dropped, order normalized."""
+    return _uniform(EXPLICIT, states, graph, base, radius, components)
 
 
 def translated_uniform(
@@ -228,21 +232,8 @@ def translated_uniform(
     radius: int,
     templates: Mapping[ComponentKey, LocalFunction],
 ) -> UniformFunction:
-    normalized = []
-    for key, comp in templates.items():
-        if not isinstance(comp, ExactSupportFunction):
-            comp = ExactSupportFunction(
-                states=comp.states, support=comp.support, table=comp.table, base_index=base
-            )
-        normalized.append((tuple(key), comp))
-    return UniformFunction(
-        states=states,
-        graph=graph,
-        base_index=base,
-        radius=radius,
-        kind=TRANSLATED,
-        components=_canonical_components(normalized),
-    )
+    """Canonical translated family of templates anchored at site 0."""
+    return _uniform(TRANSLATED, states, graph, base, radius, templates)
 
 
 def zero_uniform(

@@ -260,6 +260,24 @@ def test_reports_are_byte_deterministic(capsys, workdir, tmp_path):
         assert first.read_bytes() == second.read_bytes(), argv[0]
 
 
+def test_builtin_id_wins_over_a_file_of_that_name(capsys, tmp_path, monkeypatch):
+    three_states = {"states": ["0", "1", "2"], "base": "0",
+                    "edges": [[["1", "0"], ["0", "1"]]]}
+    for name in ("exclusion", "mine"):
+        (tmp_path / name).write_text(json.dumps(three_states))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "consv", "--interaction", "exclusion")
+    assert code == 0
+    report = last_report(out)
+    assert report["inputs"] == {"interaction": "builtin:exclusion"}
+    assert report["outputs"]["basis"] == [{"0": "0", "1": "1"}]
+    code, out, _ = run(capsys, "consv", "--interaction", "mine")
+    assert code == 0
+    report = last_report(out)
+    assert report["inputs"]["interaction"].startswith("sha256:")
+    assert report["outputs"]["dimension"] == 2
+
+
 def test_error_lines_and_exit_codes(capsys, workdir, tmp_path):
     code, out, err = run(capsys, "consv", "--interaction", "nosuchthing")
     assert code == 1 and not out

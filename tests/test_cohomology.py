@@ -12,10 +12,10 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latticecalc import errors
+from latticecalc import errors, linalg
 from latticecalc.cohomology import (
     CONSERVED,
     NONZERO_MULTI_SITE,
@@ -23,13 +23,21 @@ from latticecalc.cohomology import (
     UNEQUAL_SINGLE_SITE,
     CochainSpaceSummary,
     _candidate_supports,
+    _kernel_index,
     _kernel_rows,
     _kernel_unknowns,
+    _patterns,
     extract_conserved,
     h0_h1_finite,
     invariance_kernel,
 )
-from latticecalc.interaction import builtin_interaction, consv_basis
+from latticecalc.interaction import (
+    builtin_interaction,
+    consv_basis,
+    is_exchangeable,
+    make_interaction,
+    state_space,
+)
 from latticecalc.localfn import ExactSupportFunction
 from latticecalc.sitegraph import diameter_of, lattice_window, path_graph
 from latticecalc.transitions import is_invariant
@@ -247,13 +255,7 @@ def test_exclusion_kernel_is_the_particle_count():
 def test_kernel_elimination_matches_sympy():
     g = lattice_window(1, -4, 4)
     unknowns = _kernel_unknowns(EXCLUSION, 1, g, 0)
-    uid = {key: i for i, key in enumerate(unknowns)}
-    by_site = {}
-    for lam, _ in unknowns:
-        for s in lam:
-            by_site.setdefault(s, [])
-            if lam not in by_site[s]:
-                by_site[s].append(lam)
+    uid, by_site = _kernel_index(unknowns)
     rows = list(_kernel_rows(EXCLUSION, 1, g, 0, 4, uid, by_site))
     mat = sympy.Matrix(
         [[row.get(c, 0) for c in range(len(unknowns))] for row in rows]
@@ -289,13 +291,7 @@ def test_kernel_contains_every_conserved_sum():
     """Span membership: each conserved quantity solves the window system."""
     g = lattice_window(1, -4, 4)
     unknowns = _kernel_unknowns(AC, 1, g, 1)
-    uid = {key: i for i, key in enumerate(unknowns)}
-    by_site = {}
-    for lam, _ in unknowns:
-        for s in lam:
-            by_site.setdefault(s, [])
-            if lam not in by_site[s]:
-                by_site[s].append(lam)
+    uid, by_site = _kernel_index(unknowns)
     rows = list(_kernel_rows(AC, 1, g, 1, 4, uid, by_site))
     for xi in consv_basis(AC, 1):
         vec = [Fraction(0)] * len(unknowns)
@@ -309,6 +305,105 @@ def test_kernel_contains_every_conserved_sum():
 def test_kernel_for_the_nonexchangeable_variant_runs():
     q = builtin_interaction("quastel2")
     rep = invariance_kernel(q, 1, lattice_window(1, -4, 4), 0)
-    # no exchange closure rows are available here; the transition rows alone
+    # the two species cannot pass each other here, yet the transition rows
     # still cut the space down to the two species counts on this window
     assert rep.dimension == 2
+
+
+# ---------------------------------------------------------------------------
+# exchange rows add no rank to the transition rows
+
+
+def reference_exchange_rows(phi, radius, graph, base, probe_bound, uid, by_site):
+    """Rows of f(P^{xy}) - f(P) for inner sites x < y and local patterns P.
+
+    This is the exchange-closure family the kernel no longer generates; it
+    stays here as the reference the transition rows must span.
+    """
+    a, b = graph.window
+    reach = graph.k * radius
+    lo, hi = a + reach, b - reach
+    nonbase = [s for s in range(phi.states.n) if s != base]
+    inner = [s for s in graph.vertices if lo <= s <= hi]
+    for x, y in itertools.combinations(inner, 2):
+        region = [
+            s for s in graph.vertices if abs(s - x) <= reach or abs(s - y) <= reach
+        ]
+        lams = {lam for s in (x, y) for lam in by_site.get(s, ())}
+        for before in _patterns(region, nonbase, probe_bound):
+            after = {**before, x: before.get(y, base), y: before.get(x, base)}
+            row = {}
+            for lam in lams:
+                for pattern, sign in ((after, 1), (before, -1)):
+                    entry = tuple(pattern.get(s, base) for s in lam)
+                    if base not in entry:
+                        col = uid[(lam, entry)]
+                        row[col] = row.get(col, 0) + sign
+            row = {c: Fraction(v) for c, v in row.items() if v}
+            if row:
+                yield row
+
+
+def assert_exchange_rows_add_no_rank(phi, graph, base, probe_bound):
+    unknowns = _kernel_unknowns(phi, 1, graph, base)
+    uid, by_site = _kernel_index(unknowns)
+    reducer = linalg.echelon(_kernel_rows(phi, 1, graph, base, probe_bound, uid, by_site))
+    rank = reducer.rank
+    for row in reference_exchange_rows(phi, 1, graph, base, probe_bound, uid, by_site):
+        reducer.add(row)
+    assert reducer.rank == rank
+
+
+@pytest.mark.parametrize("probe_bound", [1, 2, 4], ids=["p1", "p2", "default"])
+@pytest.mark.parametrize(
+    "name,base_label,window",
+    [
+        ("exclusion", "0", (-5, 5)),
+        ("multispecies:2", "0", (-5, 5)),
+        ("two-species-ac", "0", (-5, 5)),
+        ("two-species-ac", "-1", (-5, 5)),
+        ("multispecies:3", "0", (-4, 4)),
+    ],
+    ids=["excl", "ms2", "ac", "ac-base-1", "ms3"],
+)
+def test_exchange_rows_lie_in_the_transition_span(name, base_label, window, probe_bound):
+    phi = builtin_interaction(name)
+    g = lattice_window(1, *window)
+    assert_exchange_rows_add_no_rank(phi, g, phi.states.index(base_label), probe_bound)
+
+
+def _four_state_detour():
+    """(0,1) reaches (1,0) only through pairs with two non-base states."""
+    states = state_space(["0", "1", "2", "3"], base="0")
+    route = [(1, 0), (3, 3), (3, 1), (0, 1)]
+    edges = set(zip(route, route[1:]))
+    for a, b in itertools.combinations(range(4), 2):
+        if (a, b) != (0, 1):
+            edges.add(((a, b), (b, a)))
+    return make_interaction(states, edges)
+
+
+@st.composite
+def exchangeable_interactions(draw):
+    """Each flip (a, b) -> (b, a) is joined by a route through drawn pairs,
+    which may carry more non-base states than the pair being swapped."""
+    n = draw(st.integers(2, 4))
+    pairs = list(itertools.product(range(n), repeat=2))
+    edges = set()
+    for a, b in itertools.combinations(range(n), 2):
+        via = draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True))
+        route = [(a, b), *via, (b, a)]
+        edges.update(zip(route, route[1:]))
+    edges.update(draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from(pairs)),
+                               max_size=3)))
+    states = state_space([str(i) for i in range(n)], base="0")
+    return make_interaction(states, {(p, q) for p, q in edges if p != q})
+
+
+@settings(max_examples=15, deadline=None)
+@given(phi=exchangeable_interactions(), probe_bound=st.integers(1, 3))
+@example(phi=_four_state_detour(), probe_bound=1)
+@example(phi=_four_state_detour(), probe_bound=3)
+def test_exchange_rows_add_no_rank_for_generated_interactions(phi, probe_bound):
+    assert is_exchangeable(phi)
+    assert_exchange_rows_add_no_rank(phi, lattice_window(1, -4, 4), 0, probe_bound)
