@@ -30,6 +30,7 @@ from .errors import (
     SupportError,
     UnknownStateError,
     UnknownVertexError,
+    VerificationError,
     WindowTooSmallError,
 )
 from .interaction import (

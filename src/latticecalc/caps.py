@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 from .errors import SchemaError
 
@@ -29,7 +30,13 @@ _FIELD_NAMES = {f.name for f in fields(Caps)}
 
 def current() -> Caps:
     """Caps taken from the environment when set, defaults otherwise."""
-    raw = os.environ.get(ENV_VAR, "").strip()
+    return _parse(os.environ.get(ENV_VAR, "").strip())
+
+
+@lru_cache(maxsize=8)
+def _parse(raw: str) -> Caps:
+    """Caps for one value of the variable; a bad value raises on every call,
+    since ``lru_cache`` stores results only."""
     if not raw:
         return Caps()
     overrides: dict[str, int] = {}

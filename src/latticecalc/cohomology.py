@@ -28,6 +28,7 @@ from .errors import (
     MismatchError,
     NormalizationError,
     SchemaError,
+    VerificationError,
     WindowTooSmallError,
 )
 from .interaction import ConservedQuantity, Interaction
@@ -115,12 +116,10 @@ def h0_h1_finite(phi: Interaction, graph: SiteGraph) -> CochainSpaceSummary:
         finder.union(i, j)
     reducer = linalg.RowReducer()
     for i, j in sorted(pairs):
-        reducer.add({i: Fraction(-1), j: Fraction(1)})
+        reducer.add({i: -1, j: 1})
     rank = reducer.rank
     if finder.count != size - rank:
-        raise SchemaError(
-            "component count and difference rank disagree"
-        )  # defensive: the two routes must agree
+        raise VerificationError("component count and difference rank disagree")
     return CochainSpaceSummary(
         dim_c0=size,
         dim_c1=len(pairs),
@@ -303,7 +302,7 @@ def _kernel_rows(
         ]
 
     def row_for(before: dict, after: dict, delta) -> dict:
-        row: dict[int, Fraction] = {}
+        row: dict[int, int] = {}
         lams = set()
         for d in delta:
             lams.update(by_site.get(d, ()))
@@ -314,10 +313,10 @@ def _kernel_rows(
                 continue
             if base not in af:
                 key = uid[(lam, af)]
-                row[key] = row.get(key, Fraction(0)) + 1
+                row[key] = row.get(key, 0) + 1
             if base not in be:
                 key = uid[(lam, be)]
-                row[key] = row.get(key, Fraction(0)) - 1
+                row[key] = row.get(key, 0) - 1
         return {c: v for c, v in row.items() if v}
 
     # single transitions whose fired edge sits in the inner window

@@ -1,7 +1,8 @@
 """Error taxonomy.  Every failure carries a machine-readable ``code``.
 
 ``exit_status`` is the process status the command line uses for the error:
-1 for malformed input documents, 2 for domain violations.
+1 for malformed input documents, 2 for domain violations and failed
+internal cross-checks.
 """
 
 
@@ -59,3 +60,9 @@ class MismatchError(LatticeCalcError):
 
 class WindowTooSmallError(LatticeCalcError):
     code = "window-too-small"
+
+
+class VerificationError(LatticeCalcError):
+    """Two independent routes to the same answer disagree."""
+
+    code = "verification-failed"

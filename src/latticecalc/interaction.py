@@ -292,11 +292,11 @@ def consv_basis(phi: Interaction, base: int) -> list[ConservedQuantity]:
     n = phi.states.n
     if not 0 <= base < n:
         raise UnknownStateError(f"state index {base} out of range")
-    rows: list[dict[int, Fraction]] = [{base: Fraction(1)}]
+    rows: list[dict[int, int]] = [{base: 1}]
     for (a, b), (c, d) in sorted(phi.edges):
-        row: dict[int, Fraction] = {}
+        row: dict[int, int] = {}
         for idx, sign in ((a, 1), (b, 1), (c, -1), (d, -1)):
-            new = row.get(idx, Fraction(0)) + sign
+            new = row.get(idx, 0) + sign
             if new:
                 row[idx] = new
             else:

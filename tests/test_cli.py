@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from latticecalc import linalg
 from latticecalc.cli import main
 from latticecalc.interaction import builtin_interaction, state_space
 from latticecalc.sitegraph import lattice_window, load_graph
@@ -311,6 +312,23 @@ def test_error_lines_and_exit_codes(capsys, workdir, tmp_path):
     )
     assert code == 2
     assert json.loads(err)["error"]["code"] == "window-too-small"
+
+
+def test_h0_routes_that_disagree_fail_verification(capsys, monkeypatch):
+    add = linalg.RowReducer.add
+    seen = []
+
+    def dropping_first(self, row):
+        seen.append(row)
+        return False if len(seen) == 1 else add(self, row)
+
+    monkeypatch.setattr(linalg.RowReducer, "add", dropping_first)
+    # exclusion on path:3 has no cycles, so every difference row adds rank
+    code, out, err = run(
+        capsys, "h0", "--interaction", "exclusion", "--graph", "path:3"
+    )
+    assert code == 2 and not out
+    assert json.loads(err)["error"]["code"] == "verification-failed"
 
 
 def test_table_format_renders_text(capsys):
