@@ -27,13 +27,15 @@ from .errors import (
     CapExceededError,
     MismatchError,
     NormalizationError,
+    NotExchangeableError,
     SchemaError,
     VerificationError,
     WindowTooSmallError,
 )
-from .interaction import ConservedQuantity, Interaction
+from .interaction import ConservedQuantity, Interaction, pair_exchange_path
 from .localfn import ExactSupportFunction
 from .sitegraph import LATTICE_Z, SiteGraph
+from .transitions import ConfigCode
 from .uniform import (
     UniformFunction,
     explicit_uniform,
@@ -89,28 +91,16 @@ def h0_h1_finite(phi: Interaction, graph: SiteGraph) -> CochainSpaceSummary:
     of the difference operator (exact elimination).  The two h0 routes must
     agree or the computation aborts.
     """
-    n = phi.states.n
-    m = len(graph.vertices)
-    size = n ** m
+    codes = ConfigCode(phi, graph)
+    size = codes.size
     limit = caps.current().max_table
     if size > limit:
         raise CapExceededError(f"{size} configurations exceed cap {limit}")
-    index_of = {x: i for i, x in enumerate(graph.vertices)}
-    place = [n ** (m - 1 - i) for i in range(m)]
-    edges = graph.unordered_edges()
     pairs: set[tuple[int, int]] = set()
-    for config_id, config in enumerate(product(range(n), repeat=m)):
-        for x, y in edges:
-            ix, iy = index_of[x], index_of[y]
-            for ox, oy in ((ix, iy), (iy, ix)):
-                for c, d in phi.targets((config[ox], config[oy])):
-                    other = (
-                        config_id
-                        + (c - config[ox]) * place[ox]
-                        + (d - config[oy]) * place[oy]
-                    )
-                    if other != config_id:
-                        pairs.add((min(config_id, other), max(config_id, other)))
+    for config_id in range(size):
+        for _, _, other in codes.fire(config_id):
+            if other != config_id:
+                pairs.add((min(config_id, other), max(config_id, other)))
     finder = _UnionFind(size)
     for i, j in pairs:
         finder.union(i, j)
@@ -260,6 +250,21 @@ def _kernel_index(unknowns):
     return uid, by_site
 
 
+def _exchange_lift(phi: Interaction, base: int) -> int:
+    """Most non-base states a ``pair_exchange_path`` step carries beyond the
+    swapped pair, over every pair that can be swapped."""
+    lift = 0
+    for s, t in product(range(phi.states.n), repeat=2):
+        try:
+            steps = pair_exchange_path(phi, s, t)
+        except NotExchangeableError:
+            continue
+        width = (s != base) + (t != base)
+        carried = (sum(u != base for u in pair) for step in steps for pair in step)
+        lift = max(lift, max(carried, default=width) - width)
+    return lift
+
+
 def _kernel_rows(
     phi: Interaction,
     radius: int,
@@ -272,27 +277,25 @@ def _kernel_rows(
     """Constraint rows: one per (transition at an inner edge, local pattern).
 
     A row depends only on the configuration near its fired edge, so
-    enumerating local patterns with at most ``probe_bound`` non-base sites
-    yields exactly the rows contributed by every configuration of that
-    support bound.
+    enumerating local patterns with at most ``probe_bound + lift``
+    non-base sites yields exactly the rows contributed by every
+    configuration of that support bound; ``lift`` is ``_exchange_lift``.
 
-    No row is emitted for exchanging two distant sites: for an exchangeable
-    interaction such a row already lies in the span of these.  Let x < y be
-    inner sites and P a pattern.  ``swap_path`` turns P into P^{xy} by
-    transitions at inner edges between x and y, and the row of the swap is
-    the telescoping sum of their rows.  The generator emits a step's row, up
-    to sign, when either end of the step has at most ``probe_bound``
-    non-base sites near the fired edge.  So the swap row is in the span
-    whenever no two consecutive pairs on a ``pair_exchange_path`` carry more
-    non-base states than the swapped pair.  Every builtin meets this: each
-    of its swaps is a single interaction edge.
+    No row is emitted for exchanging two distant sites: such a row already
+    lies in the span of these whenever the swap can be played.  Let x < y be
+    inner sites and P a pattern with at most ``probe_bound`` non-base sites.
+    ``swap_path`` turns P into P^{xy} by transitions at inner edges between
+    x and y, and the row of the swap is the telescoping sum of their rows.
+    Each step rearranges P except for the pair it exchanges, which walks a
+    ``pair_exchange_path`` carrying at most ``lift`` extra non-base states,
+    so every step's row is emitted, up to sign.  ``lift`` is 0 for every
+    builtin at every base: each of its swaps is a single interaction edge.
     """
     a, b = graph.window
-    k = graph.k
-    margin = k * radius
-    lo, hi = a + margin, b - margin
+    reach = graph.k * radius
+    lo, hi = a + reach, b - reach
     nonbase = [s for s in range(phi.states.n) if s != base]
-    reach = k * radius
+    bound = probe_bound + _exchange_lift(phi, base)
 
     def region_around(x, y):
         return [
@@ -324,27 +327,16 @@ def _kernel_rows(
         if not (lo <= x and y <= hi):
             continue
         region = region_around(x, y)
-        for pattern in _patterns(region, nonbase, probe_bound):
-            seen = set()
-            for ox, oy in ((x, y), (y, x)):
-                pair = (pattern.get(ox, base), pattern.get(oy, base))
-                for c, d in phi.targets(pair):
-                    after = dict(pattern)
-                    for site, state in ((ox, c), (oy, d)):
-                        if state == base:
-                            after.pop(site, None)
-                        else:
-                            after[site] = state
-                    key = tuple(sorted(after.items()))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    delta = [s for s in (x, y) if pattern.get(s, base) != after.get(s, base)]
-                    if not delta:
-                        continue
-                    row = row_for(pattern, after, delta)
-                    if row:
-                        yield row
+        for pattern in _patterns(region, nonbase, bound):
+            s, t = pattern.get(x, base), pattern.get(y, base)
+            for _, _, (c, d) in phi.edge_moves[(s, t)]:
+                if (c, d) == (s, t):
+                    continue
+                after = {**pattern, x: c, y: d}
+                delta = [site for site, old, new in ((x, s, c), (y, t, d)) if old != new]
+                row = row_for(pattern, after, delta)
+                if row:
+                    yield row
 
 
 def invariance_kernel(

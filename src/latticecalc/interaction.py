@@ -95,6 +95,26 @@ class Interaction:
     def targets(self, pair: PairIdx) -> tuple[PairIdx, ...]:
         return self.pair_targets.get(pair, ())
 
+    @cached_property
+    def edge_moves(self) -> dict[PairIdx, tuple[tuple[bool, PhiEdge, PairIdx], ...]]:
+        """Moves at a graph edge x < y holding (s, t), keyed by (s, t).
+
+        Each move is ``(flipped, interaction edge, new (s, t))``, flipped when
+        fired as (y, x).  Orientation (x, y) comes first, targets in sorted
+        order, each new pair once; identity edges are kept.
+        """
+        out = {}
+        for s, t in product(range(self.states.n), repeat=2):
+            moves, seen = [], set()
+            for flipped, pair in ((False, (s, t)), (True, (t, s))):
+                for c, d in self.targets(pair):
+                    new = (d, c) if flipped else (c, d)
+                    if new not in seen:
+                        seen.add(new)
+                        moves.append((flipped, (pair, (c, d)), new))
+            out[(s, t)] = tuple(moves)
+        return out
+
 
 def make_interaction(states: StateSpace, edges, symmetry: str = "lenient") -> Interaction:
     """Build an interaction from edge pairs of state indices.

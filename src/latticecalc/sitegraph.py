@@ -58,19 +58,23 @@ class SiteGraph:
         self._check_connected()
 
     def _check_connected(self) -> None:
-        seen = {self.vertices[0]}
-        queue = deque(seen)
-        adjacency: dict[Site, list[Site]] = {}
-        for x, y in self.edges:
-            adjacency.setdefault(x, []).append(y)
-        while queue:
-            x = queue.popleft()
-            for y in adjacency.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if len(seen) != len(self.vertices):
+        if len(dict(self._parents(self.vertices[0]))) != len(self.vertices):
             raise SchemaError("graph is not connected")
+
+    def _parents(self, x: Site):
+        """Yield (site, parent) breadth-first from x, starting with (x, None);
+        neighbors are scanned in sorted order, which fixes how ties break."""
+        self.require_vertex(x)
+        seen = {x}
+        yield x, None
+        queue = deque([x])
+        while queue:
+            cur = queue.popleft()
+            for nxt in self._adjacency[cur]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    yield nxt, cur
+                    queue.append(nxt)
 
     @cached_property
     def _adjacency(self) -> dict[Site, tuple[Site, ...]]:
@@ -83,16 +87,9 @@ class SiteGraph:
     def _vertex_set(self) -> frozenset[Site]:
         return frozenset(self.vertices)
 
-    def has_vertex(self, x: Site) -> bool:
-        return x in self._vertex_set
-
     def require_vertex(self, x: Site) -> None:
         if x not in self._vertex_set:
             raise UnknownVertexError(f"not a vertex: {x!r}")
-
-    def neighbors_of(self, x: Site) -> tuple[Site, ...]:
-        self.require_vertex(x)
-        return self._adjacency[x]
 
     def unordered_edges(self) -> list[tuple[Site, Site]]:
         """Each edge once, endpoints sorted, the list sorted."""
@@ -150,24 +147,23 @@ def lattice_window(k: int, a: int, b: int) -> SiteGraph:
     )
 
 
+def shortest_path(g: SiteGraph, x: Site, y: Site) -> list[Site]:
+    """Vertices of a shortest path from x to y, ties broken by sorted neighbors."""
+    g.require_vertex(y)
+    parents = {}
+    for site, parent in g._parents(x):
+        parents[site] = parent
+        if site == y:
+            break
+    path = [y]
+    while path[-1] != x:
+        path.append(parents[path[-1]])
+    return path[::-1]
+
+
 def distance(g: SiteGraph, x: Site, y: Site) -> int:
     """Graph distance (number of edges on a shortest path)."""
-    g.require_vertex(x)
-    g.require_vertex(y)
-    if x == y:
-        return 0
-    dist = {x: 0}
-    queue = deque([x])
-    while queue:
-        cur = queue.popleft()
-        for nxt in g._adjacency[cur]:
-            if nxt in dist:
-                continue
-            dist[nxt] = dist[cur] + 1
-            if nxt == y:
-                return dist[nxt]
-            queue.append(nxt)
-    raise UnknownVertexError(f"no path between {x!r} and {y!r}")  # unreachable: graphs are connected
+    return len(shortest_path(g, x, y)) - 1
 
 
 def ball(g: SiteGraph, x: Site, radius) -> frozenset[Site]:
@@ -176,25 +172,16 @@ def ball(g: SiteGraph, x: Site, radius) -> frozenset[Site]:
     The strict inequality means ``ball(g, x, 0)`` is empty and
     ``ball(g, x, 1)`` is ``{x}``.  ``radius`` may be an int or a Fraction.
     """
-    g.require_vertex(x)
     r = Fraction(radius)
     if r < 0:
         raise SchemaError("radius must be nonnegative")
-    if r <= 0:
-        return frozenset()
-    out = {x}
-    frontier = [x]
-    level = 1
-    while frontier and level < r:
-        nxt = []
-        for cur in frontier:
-            for y in g._adjacency[cur]:
-                if y not in out:
-                    out.add(y)
-                    nxt.append(y)
-        frontier = nxt
-        level += 1
-    return frozenset(out)
+    depth: dict[Site, int] = {}
+    for site, parent in g._parents(x):
+        d = 0 if parent is None else depth[parent] + 1
+        if d >= r:
+            break
+        depth[site] = d
+    return frozenset(depth)
 
 
 def diameter_of(g: SiteGraph, sites) -> int:

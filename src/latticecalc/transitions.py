@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import caps
 from .errors import MismatchError, SchemaError, UnknownVertexError
 from .interaction import Interaction, PhiEdge, pair_exchange_path
-from .sitegraph import Site, SiteGraph
+from .sitegraph import Site, SiteGraph, shortest_path
 from .uniform import Configuration, UniformFunction, difference
 
 
@@ -66,34 +66,57 @@ def _canonical_edge_window(graph: SiteGraph, edge_window) -> list[tuple[Site, Si
     return sorted(out)  # type: ignore[arg-type]
 
 
+def _transition(eta: Configuration, edge: tuple[Site, Site], phi_edge: PhiEdge):
+    """The transition out of ``eta`` firing ``phi_edge`` at the ordered ``edge``."""
+    (x, y), (_, (c, d)) = edge, phi_edge
+    return Transition(
+        before=eta, after=eta.with_sites({x: c, y: d}), edge=edge, phi_edge=phi_edge
+    )
+
+
 def neighbors(
     phi: Interaction, eta: Configuration, edge_window=None
 ) -> list[Transition]:
     """Single transitions out of ``eta`` along the given edges.
 
-    Each unordered edge is tried in both orientations (the interaction need
-    not be symmetric under coordinate swap); transitions reaching the same
-    configuration through the same edge are reported once.  Results follow a
+    Each edge fires the moves of ``Interaction.edge_moves``: both
+    orientations, each reachable configuration once.  Results follow a
     fixed (edge, interaction-edge) order.
     """
     if eta.states != phi.states:
         raise MismatchError("configuration built over a different state space")
     out = []
     for x, y in _canonical_edge_window(eta.graph, edge_window):
-        seen: set[tuple[tuple[Site, int], ...]] = set()
-        for ox, oy in ((x, y), (y, x)):
-            pair = (eta.state_at(ox), eta.state_at(oy))
-            for c, d in phi.targets(pair):
-                after = eta.with_sites({ox: c, oy: d})
-                if after.assignments in seen:
-                    continue
-                seen.add(after.assignments)
-                out.append(
-                    Transition(
-                        before=eta, after=after, edge=(ox, oy), phi_edge=(pair, (c, d))
-                    )
-                )
+        for flipped, phi_edge, _ in phi.edge_moves[(eta.state_at(x), eta.state_at(y))]:
+            out.append(_transition(eta, (y, x) if flipped else (x, y), phi_edge))
     return out
+
+
+class ConfigCode:
+    """Configurations of a finite graph as mixed-radix integers ``range(size)``:
+    one base-n digit per vertex, the first of ``graph.vertices`` most significant."""
+
+    def __init__(self, phi: Interaction, graph: SiteGraph) -> None:
+        n, m = phi.states.n, len(graph.vertices)
+        self.phi = phi
+        self.size = n**m
+        self.place = {x: n ** (m - 1 - i) for i, x in enumerate(graph.vertices)}
+        self._edges = [
+            (x, y, self.place[x], self.place[y]) for x, y in graph.unordered_edges()
+        ]
+
+    def encode(self, eta: Configuration) -> int:
+        return sum(eta.state_at(x) * p for x, p in self.place.items())
+
+    def fire(self, code: int):
+        """Yield ``(edge, interaction edge, code after)`` for every move out of
+        ``code``: ``Interaction.edge_moves`` at each edge, edges in sorted order."""
+        n, moves = self.phi.states.n, self.phi.edge_moves
+        for x, y, px, py in self._edges:
+            s, t = code // px % n, code // py % n
+            for flipped, phi_edge, (c, d) in moves[(s, t)]:
+                edge = (y, x) if flipped else (x, y)
+                yield edge, phi_edge, code + (c - s) * px + (d - t) * py
 
 
 @dataclass(frozen=True)
@@ -106,63 +129,45 @@ class ComponentResult:
 
 
 def component_bfs(
-    phi: Interaction,
-    eta: Configuration,
-    edge_window=None,
-    max_states: int | None = None,
+    phi: Interaction, eta: Configuration, max_states: int | None = None
 ) -> ComponentResult:
     """Breadth-first enumeration of every configuration reachable from ``eta``.
 
-    Stops after ``max_states`` visited configurations (default from caps) and
-    reports ``truncated=True`` rather than raising.
+    The search runs over ``ConfigCode`` integers and builds a ``Transition``
+    only for each discovery edge.  Stops after ``max_states`` visited
+    configurations (default from caps, at least 1) and reports
+    ``truncated=True`` rather than raising.
     """
+    if eta.states != phi.states:
+        raise MismatchError("configuration built over a different state space")
     if max_states is None:
         max_states = caps.current().max_bfs
-    window = _canonical_edge_window(eta.graph, edge_window)
-    visited = {eta}
-    queue = deque([eta])
+    if max_states < 1:
+        raise SchemaError(f"max_states must be at least 1, got {max_states}")
+    codes = ConfigCode(phi, eta.graph)
+    start = codes.encode(eta)
+    found = {start: eta}
+    queue = deque([start])
     discovery: list[Transition] = []
     truncated = False
     while queue:
         cur = queue.popleft()
-        for tr in neighbors(phi, cur, window):
-            if tr.after in visited:
+        for edge, phi_edge, nxt in codes.fire(cur):
+            if nxt in found:
                 continue
-            if len(visited) >= max_states:
+            if len(found) >= max_states:
                 truncated = True
                 queue.clear()
                 break
-            visited.add(tr.after)
+            tr = _transition(found[cur], edge, phi_edge)
+            found[nxt] = tr.after
             discovery.append(tr)
-            queue.append(tr.after)
+            queue.append(nxt)
     return ComponentResult(
-        configurations=frozenset(visited),
+        configurations=frozenset(found.values()),
         truncated=truncated,
         discovery=tuple(discovery),
     )
-
-
-def _shortest_site_path(graph: SiteGraph, x: Site, y: Site) -> list[Site]:
-    """Vertices of a shortest path, ties broken by scanning sorted neighbors."""
-    if x == y:
-        return [x]
-    parents: dict[Site, Site] = {}
-    seen = {x}
-    queue = deque([x])
-    while queue:
-        cur = queue.popleft()
-        for nxt in graph.neighbors_of(cur):
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            parents[nxt] = cur
-            if nxt == y:
-                path = [y]
-                while path[-1] != x:
-                    path.append(parents[path[-1]])
-                return path[::-1]
-            queue.append(nxt)
-    raise UnknownVertexError(f"no path between {x!r} and {y!r}")
 
 
 def swap_path(
@@ -175,12 +180,10 @@ def swap_path(
     that carries (s, t) to (t, s).  The final configuration always equals
     ``eta`` with x and y swapped.
     """
-    eta.graph.require_vertex(x)
-    eta.graph.require_vertex(y)
     expected = eta.with_sites({x: eta.state_at(y), y: eta.state_at(x)})
     if x == y:
         return []
-    sites = _shortest_site_path(eta.graph, x, y)
+    sites = shortest_path(eta.graph, x, y)
     hops = list(zip(sites, sites[1:]))
     schedule = hops + hops[-2::-1]
     out: list[Transition] = []
@@ -189,12 +192,9 @@ def swap_path(
         su, sv = cur.state_at(u), cur.state_at(v)
         if su == sv:
             continue
-        for (a, b), (c, d) in pair_exchange_path(phi, su, sv):
-            nxt = cur.with_sites({u: c, v: d})
-            out.append(
-                Transition(before=cur, after=nxt, edge=(u, v), phi_edge=((a, b), (c, d)))
-            )
-            cur = nxt
+        for phi_edge in pair_exchange_path(phi, su, sv):
+            out.append(_transition(cur, (u, v), phi_edge))
+            cur = out[-1].after
     if cur != expected:
         raise SchemaError("exchange schedule failed to realize the swap")  # defensive
     return out
@@ -211,8 +211,6 @@ def permutation_path(
     domain = set(sigma)
     if domain != set(sigma.values()):
         raise SchemaError("sigma is not a bijection of its domain")
-    for site in domain:
-        eta.graph.require_vertex(site)
     expected = eta.with_sites({site: eta.state_at(sigma[site]) for site in domain})
     swaps: list[tuple[Site, Site]] = []
     seen: set[Site] = set()
@@ -301,10 +299,12 @@ def transition_from_document(
         (states.index(from_labels[0]), states.index(from_labels[1])),
         (states.index(to_labels[0]), states.index(to_labels[1])),
     )
-    (a, b), (c, d) = phi_edge
-    if (eta.state_at(x), eta.state_at(y)) != (a, b):
+    if (x, y) not in eta.graph.edges:
+        raise UnknownVertexError(f"({x!r}, {y!r}) is not a graph edge")
+    if phi_edge not in phi.edges:
+        raise MismatchError("the transition's move is not an interaction edge")
+    if (eta.state_at(x), eta.state_at(y)) != phi_edge[0]:
         raise MismatchError(
             f"configuration does not match the transition source at edge ({x}, {y})"
         )
-    after = eta.with_sites({x: c, y: d})
-    return Transition(before=eta, after=after, edge=(x, y), phi_edge=phi_edge)
+    return _transition(eta, (x, y), phi_edge)

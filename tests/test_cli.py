@@ -232,6 +232,19 @@ def test_rebase_output_reloads(capsys, workdir):
     assert ["involution", "pass"] in report["verification"]
 
 
+@pytest.mark.parametrize("bad", ["0", "-5"])
+def test_component_rejects_max_states_below_one(capsys, workdir, bad):
+    code, out, err = run(
+        capsys, "component",
+        "--interaction", "exclusion",
+        "--graph", "lattice:1:-2:2",
+        "--config", str(workdir / "one.json"),
+        "--max-states", bad,
+    )
+    assert code == 1 and not out
+    assert json.loads(err)["error"]["code"] == "schema"
+
+
 def test_reports_are_byte_deterministic(capsys, workdir, tmp_path):
     commands = [
         ("consv", "--interaction", "two-species-ac"),

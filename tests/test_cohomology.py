@@ -23,6 +23,7 @@ from latticecalc.cohomology import (
     UNEQUAL_SINGLE_SITE,
     CochainSpaceSummary,
     _candidate_supports,
+    _exchange_lift,
     _kernel_index,
     _kernel_rows,
     _kernel_unknowns,
@@ -400,10 +401,32 @@ def exchangeable_interactions(draw):
     return make_interaction(states, {(p, q) for p, q in edges if p != q})
 
 
+def _heavier_swap_route():
+    """(0,3) reaches (3,0) only through (1,2) and (1,3), one non-base state
+    heavier; at probe bound 1 the rows of bound-1 patterns alone have rank
+    36 and the exchange rows raise it to 42."""
+    states = state_space(["0", "1", "2", "3"], base="0")
+    swaps = [((0, 1), (1, 0)), ((0, 2), (2, 0)), ((1, 2), (2, 1)), ((1, 3), (3, 1)),
+             ((2, 3), (3, 2))]
+    route = [((0, 3), (1, 2)), ((1, 2), (1, 3)), ((1, 3), (3, 0))]
+    return make_interaction(states, swaps + route)
+
+
+def test_exchange_lift():
+    for name in ["exclusion", "multispecies:2", "multispecies:3", "two-species-ac",
+                 "quastel2"]:
+        phi = builtin_interaction(name)
+        for base in range(phi.states.n):
+            assert _exchange_lift(phi, base) == 0, (name, base)
+    assert _exchange_lift(_heavier_swap_route(), 0) == 1
+    assert _exchange_lift(_four_state_detour(), 0) == 1
+
+
 @settings(max_examples=15, deadline=None)
 @given(phi=exchangeable_interactions(), probe_bound=st.integers(1, 3))
 @example(phi=_four_state_detour(), probe_bound=1)
 @example(phi=_four_state_detour(), probe_bound=3)
+@example(phi=_heavier_swap_route(), probe_bound=1)
 def test_exchange_rows_add_no_rank_for_generated_interactions(phi, probe_bound):
     assert is_exchangeable(phi)
     assert_exchange_rows_add_no_rank(phi, lattice_window(1, -4, 4), 0, probe_bound)

@@ -238,3 +238,34 @@ def test_random_interactions_consv_basis_is_conserved(phi):
 def test_random_interactions_components_match_networkx(phi):
     pc = pair_components(phi)
     assert pc.count == nx.number_connected_components(pair_graph(phi))
+
+
+def test_edge_moves_order_on_two_species_ac():
+    ac = builtin_interaction("two-species-ac")
+    m, z, p = 0, 1, 2
+    # the flipped orientation only re-finds pairs here: the edge set is
+    # symmetric under swapping coordinates
+    assert ac.edge_moves == {
+        (m, m): (),
+        (m, z): ((False, ((m, z), (z, m)), (z, m)),),
+        (m, p): ((False, ((m, p), (z, z)), (z, z)), (False, ((m, p), (p, m)), (p, m))),
+        (z, m): ((False, ((z, m), (m, z)), (m, z)),),
+        (z, z): ((False, ((z, z), (m, p)), (m, p)), (False, ((z, z), (p, m)), (p, m))),
+        (z, p): ((False, ((z, p), (p, z)), (p, z)),),
+        (p, m): ((False, ((p, m), (m, p)), (m, p)), (False, ((p, m), (z, z)), (z, z))),
+        (p, z): ((False, ((p, z), (z, p)), (z, p)),),
+        (p, p): (),
+    }
+
+
+def test_edge_moves_keep_flipped_and_identity_moves():
+    states = state_space(["0", "1"], base="0")
+    phi = make_interaction(states, [((0, 1), (1, 1)), ((0, 0), (0, 0))])
+    assert phi.edge_moves[(0, 0)] == ((False, ((0, 0), (0, 0)), (0, 0)),)
+    # (1, 0) fires only as (y, x), where it reads (0, 1)
+    assert phi.edge_moves[(1, 0)] == ((True, ((0, 1), (1, 1)), (1, 1)),)
+    assert phi.edge_moves[(1, 1)] == (
+        (False, ((1, 1), (0, 1)), (0, 1)),
+        (True, ((1, 1), (0, 1)), (1, 0)),
+    )
+    assert phi.edge_moves[(0, 1)] == ((False, ((0, 1), (1, 1)), (1, 1)),)

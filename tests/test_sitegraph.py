@@ -1,7 +1,10 @@
+from collections import deque
 from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticecalc import errors
 from latticecalc.sitegraph import (
@@ -14,6 +17,7 @@ from latticecalc.sitegraph import (
     lattice_window,
     load_graph,
     path_graph,
+    shortest_path,
 )
 
 
@@ -132,3 +136,52 @@ def test_load_graph_rejects_malformed_documents():
         load_graph({"kind": "path"})
     with pytest.raises(errors.SchemaError):
         load_graph({"kind": "lattice_z", "k": 1, "window": [3]})
+
+
+def reference_shortest_path(graph, x, y):
+    """The breadth-first search transitions used to keep for swap paths."""
+    if x == y:
+        return [x]
+    parents = {}
+    seen = {x}
+    queue = deque([x])
+    while queue:
+        cur = queue.popleft()
+        for nxt in sorted(b for a, b in graph.edges if a == cur):
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            parents[nxt] = cur
+            if nxt == y:
+                path = [y]
+                while path[-1] != x:
+                    path.append(parents[path[-1]])
+                return path[::-1]
+            queue.append(nxt)
+    raise AssertionError("graphs are connected")
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree plus extra edges, on int or string vertices."""
+    n = draw(st.integers(1, 12))
+    names = draw(st.sampled_from([lambda i: i, lambda i: f"v{i}"]))
+    vertices = draw(st.permutations([names(i) for i in range(n)]))
+    edges = [(vertices[i], vertices[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    extra = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    edges += [(a, b) for a, b in draw(st.lists(extra, max_size=2 * n)) if a != b]
+    return explicit_graph(vertices, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs())
+def test_one_search_matches_the_old_shortest_path(g):
+    nxg = as_networkx(g)
+    for x in g.vertices:
+        lengths = nx.single_source_shortest_path_length(nxg, x)
+        for y in g.vertices:
+            path = shortest_path(g, x, y)
+            assert path == reference_shortest_path(g, x, y)
+            assert distance(g, x, y) == lengths[y] == len(path) - 1
+        for r in (0, 1, Fraction(3, 2), 2, 3):
+            assert ball(g, x, r) == {y for y, d in lengths.items() if d < r}

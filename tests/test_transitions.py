@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+from collections import deque
 
 import networkx as nx
 import pytest
@@ -9,9 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticecalc import errors
-from latticecalc.interaction import builtin_interaction, consv_basis
-from latticecalc.sitegraph import lattice_window, path_graph
+from latticecalc.interaction import (
+    builtin_interaction,
+    consv_basis,
+    make_interaction,
+    state_space,
+)
+from latticecalc.sitegraph import cycle_graph, explicit_graph, lattice_window, path_graph
 from latticecalc.transitions import (
+    ConfigCode,
     Transition,
     component_bfs,
     is_invariant,
@@ -22,7 +30,7 @@ from latticecalc.transitions import (
 )
 from latticecalc.uniform import configuration, xi_X
 
-from conftest import window_configurations
+from conftest import random_configuration, window_configurations
 
 EXCLUSION = builtin_interaction("exclusion")
 MS2 = builtin_interaction("multispecies:2")
@@ -142,6 +150,36 @@ def test_transition_document_mismatch_raises():
         transition_from_document(doc, EXCLUSION, eta)
 
 
+def test_transition_document_must_be_an_interaction_edge():
+    eta = configuration(G13, EXCLUSION.states, 0, {0: 1})
+    creation = {"edge": [0, 1], "from": ["1", "0"], "to": ["1", "1"]}
+    with pytest.raises(errors.MismatchError):
+        transition_from_document(creation, EXCLUSION, eta)
+
+
+def test_transition_document_must_fire_at_a_graph_edge():
+    g = path_graph(5)
+    eta = configuration(g, EXCLUSION.states, 0, {0: 1})
+    jump = {"edge": [0, 4], "from": ["1", "0"], "to": ["0", "1"]}
+    with pytest.raises(errors.UnknownVertexError):
+        transition_from_document(jump, EXCLUSION, eta)
+    good = transition_from_document({**jump, "edge": [0, 1]}, EXCLUSION, eta)
+    assert good.after == eta.with_sites({0: 0, 1: 1})
+
+
+@pytest.mark.parametrize("bad", [0, -5])
+def test_component_rejects_max_states_below_one(bad):
+    eta = configuration(G13, EXCLUSION.states, 0, {0: 1})
+    with pytest.raises(errors.SchemaError):
+        component_bfs(EXCLUSION, eta, max_states=bad)
+
+
+def test_component_rejects_a_foreign_state_space():
+    eta = configuration(G13, MS2.states, 0, {0: 1})
+    with pytest.raises(errors.MismatchError):
+        component_bfs(EXCLUSION, eta)
+
+
 @settings(deadline=None, max_examples=50)
 @given(
     window_configurations(G13, EXCLUSION.states, 0),
@@ -236,3 +274,138 @@ def test_is_invariant_accepts_conserved_sum_and_finds_witness():
     assert not bad.invariant
     assert bad.witness is not None
     assert bad.witness.before in probes
+
+
+# ---------------------------------------------------------------------------
+# the object-based enumeration the integer search replaced, kept as reference
+
+
+def reference_neighbors(phi, eta):
+    """Both orientations of every edge, each reachable configuration once."""
+    out = []
+    for x, y in eta.graph.unordered_edges():
+        seen = set()
+        for ox, oy in ((x, y), (y, x)):
+            pair = (eta.state_at(ox), eta.state_at(oy))
+            for c, d in phi.targets(pair):
+                after = eta.with_sites({ox: c, oy: d})
+                if after.assignments in seen:
+                    continue
+                seen.add(after.assignments)
+                out.append(
+                    Transition(before=eta, after=after, edge=(ox, oy), phi_edge=(pair, (c, d)))
+                )
+    return out
+
+
+def reference_component_bfs(phi, eta, max_states):
+    visited = {eta}
+    queue = deque([eta])
+    discovery = []
+    truncated = False
+    while queue:
+        cur = queue.popleft()
+        for tr in reference_neighbors(phi, cur):
+            if tr.after in visited:
+                continue
+            if len(visited) >= max_states:
+                truncated = True
+                queue.clear()
+                break
+            visited.add(tr.after)
+            discovery.append(tr)
+            queue.append(tr.after)
+    return visited, truncated, discovery
+
+
+def assert_matches_reference(phi, eta, max_states_values):
+    got, want = neighbors(phi, eta), reference_neighbors(phi, eta)
+    assert [t.to_document() for t in got] == [t.to_document() for t in want]
+    assert [t.after for t in got] == [t.after for t in want]
+    for max_states in max_states_values:
+        res = component_bfs(phi, eta, max_states=max_states)
+        visited, truncated, discovery = reference_component_bfs(phi, eta, max_states)
+        assert res.configurations == visited
+        assert res.truncated == truncated
+        assert [t.to_document() for t in res.discovery] == [
+            t.to_document() for t in discovery
+        ]
+        assert [(t.before, t.after) for t in res.discovery] == [
+            (t.before, t.after) for t in discovery
+        ]
+
+
+STRING_GRAPH = explicit_graph(
+    ["d", "b", "a", "c", "e"], [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "e")]
+)
+GRAPHS = {
+    "path": path_graph(5),
+    "cycle": cycle_graph(5),
+    "lattice": lattice_window(1, -3, 1),
+    "lattice-k2": lattice_window(2, -2, 2),
+    "strings": STRING_GRAPH,
+}
+
+
+@pytest.mark.parametrize("graph", GRAPHS.values(), ids=GRAPHS.keys())
+@pytest.mark.parametrize(
+    "name", ["exclusion", "multispecies:2", "multispecies:3", "two-species-ac", "quastel2"]
+)
+def test_integer_search_matches_the_object_search(name, graph):
+    phi = builtin_interaction(name)
+    rng = random.Random(f"{name}/{graph.vertices}")
+    for _ in range(3):
+        eta = random_configuration(
+            rng, graph, phi.states, phi.states.base_index, max_occupied=len(graph.vertices)
+        )
+        assert_matches_reference(phi, eta, [1, 2, 3, 8, 10**6])
+
+
+@st.composite
+def lopsided_interactions(draw):
+    """Random interactions with an identity edge ((a, b), (a, b)) and a move
+    ((0, 1), (1, 1)) whose coordinate swap ((1, 0), (1, 1)) is absent."""
+    n = draw(st.integers(2, 3))
+    pairs = list(itertools.product(range(n), repeat=2))
+    edges = set(draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from(pairs)),
+                              max_size=6)))
+    edges -= {((1, 0), (1, 1)), ((1, 1), (1, 0))}
+    edges.add(((0, 1), (1, 1)))
+    fixed = draw(st.sampled_from(pairs))
+    edges.add((fixed, fixed))
+    base = draw(st.integers(0, n - 1))
+    return make_interaction(state_space([str(i) for i in range(n)], str(base)), edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    phi=lopsided_interactions(),
+    graph=st.sampled_from(list(GRAPHS.values())),
+    seed=st.integers(0, 2**16),
+    max_states=st.integers(1, 60),
+)
+def test_integer_search_matches_for_lopsided_interactions(phi, graph, seed, max_states):
+    rng = random.Random(seed)
+    eta = random_configuration(
+        rng, graph, phi.states, phi.states.base_index, max_occupied=len(graph.vertices)
+    )
+    assert_matches_reference(phi, eta, [max_states, 10**6])
+
+
+def test_integer_search_fires_moves_in_both_orientations():
+    states = state_space(["0", "1"], base="0")
+    grow = make_interaction(states, [((0, 1), (1, 1)), ((0, 0), (0, 0))])
+    eta = configuration(path_graph(4), states, 0, {2: 1})
+    assert [t.edge for t in neighbors(grow, eta)] == [(0, 1), (1, 2), (3, 2)]
+    assert_matches_reference(grow, eta, [1, 2, 3, 10**6])
+
+
+def test_config_code_is_the_enumeration_order():
+    g = explicit_graph(["b", "a", "c"], [("b", "a"), ("a", "c")])
+    codes = ConfigCode(AC, g)
+    assert codes.size == 27
+    for code, digits in enumerate(itertools.product(range(3), repeat=3)):
+        eta = configuration(g, AC.states, 1, dict(zip(g.vertices, digits)))
+        assert codes.encode(eta) == code
+        want = [(t.edge, t.phi_edge, codes.encode(t.after)) for t in neighbors(AC, eta)]
+        assert list(codes.fire(code)) == want
