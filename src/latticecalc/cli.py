@@ -153,15 +153,6 @@ def _config_file(path: str, states, graph, inputs: dict, role: str):
     return load_configuration(doc, states, graph)
 
 
-def _site_token(graph: SiteGraph, token: str):
-    if isinstance(graph.vertices[0], int):
-        try:
-            return int(token)
-        except ValueError as exc:
-            raise SchemaError(f"site {token!r} is not an integer") from exc
-    return token
-
-
 def _base_index(states, label: str | None) -> int:
     if label is not None:
         return states.index(label)
@@ -361,8 +352,7 @@ def cmd_swap_path(args) -> int:
     phi = _interaction_arg(args.interaction, inputs)
     graph = _graph_arg(args.graph, inputs)
     eta = _config_file(args.config, phi.states, graph, inputs, "config")
-    x = _site_token(graph, args.sites[0])
-    y = _site_token(graph, args.sites[1])
+    x, y = (graph.parse_site(token) for token in args.sites)
     path = swap_path(phi, eta, x, y)
     docs = [tr.to_document() for tr in path]
     cur = eta
@@ -478,20 +468,8 @@ def cmd_kernel(args) -> int:
     report = invariance_kernel(
         phi, args.radius, graph, base, probe_bound=args.probe_bound
     )
-    lo, hi = report.inner_window
-    probes = [configuration(graph, phi.states, base, {})]
-    for site in range(lo, hi + 1):
-        for state in range(phi.states.n):
-            if state != base:
-                probes.append(configuration(graph, phi.states, base, {site: state}))
-    inner_edges = [
-        (x, y) for x, y in graph.unordered_edges() if lo <= x and y <= hi
-    ]
-    ok = all(
-        is_invariant(fn, phi, edge_window=inner_edges, state_probe=probes).invariant
-        for fn in report.basis
-    )
-    verification = [("basis-invariant-on-probes", "pass" if ok else "fail")]
+    # invariance_kernel raises VerificationError unless this check passes
+    verification = [("basis-annihilates-all-rows", "pass")]
     outputs = {
         "window": list(report.window),
         "k": report.k,

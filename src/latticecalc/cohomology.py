@@ -339,6 +339,26 @@ def _kernel_rows(
                     yield row
 
 
+def _certify_basis(basis, uid: dict, reducer: linalg.RowReducer) -> None:
+    """Raise ``VerificationError`` unless every basis function, read back
+    from its component tables, annihilates every pivot row of ``reducer``.
+
+    Each row fed to ``reducer`` was either kept or reduced to zero against
+    the pivot rows, so the pivot rows span every constraint row and the
+    check covers the whole constraint set.
+    """
+    for fn in basis:
+        vec = {
+            uid[(lam, entry)]: value
+            for lam, comp in fn.components
+            for entry, value in zip(comp.assignments(), comp.table)
+            if value
+        }
+        for row in reducer.pivot_rows.values():
+            if sum(coef * vec[c] for c, coef in row.items() if c in vec):
+                raise VerificationError("kernel basis violates a constraint row")
+
+
 def invariance_kernel(
     phi: Interaction,
     radius: int,
@@ -353,7 +373,8 @@ def invariance_kernel(
     inner window (so no component pokes outside the window); composite
     exchange moves add no rank, as ``_kernel_rows`` shows.  Components not
     contained in the inner window are boundary artifacts; the reported basis
-    is the canonical basis of the kernel projected onto the inner window.
+    is the canonical basis of the kernel projected onto the inner window,
+    certified by ``_certify_basis`` against every constraint row.
     """
     if graph.kind != LATTICE_Z:
         raise SchemaError("invariance kernel needs an integer-lattice window")
@@ -410,6 +431,7 @@ def invariance_kernel(
             for lam, tab in tables.items()
         }
         basis.append(explicit_uniform(states, graph, base, radius, comps))
+    _certify_basis(basis, uid, reducer)
     return KernelReport(
         window=(a, b),
         k=graph.k,

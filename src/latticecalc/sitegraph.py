@@ -45,11 +45,16 @@ class SiteGraph:
             raise SchemaError(f"unknown graph kind {self.kind!r}")
         if not self.vertices:
             raise SchemaError("graph needs at least one vertex")
+        site_type = type(self.vertices[0])
+        if site_type not in (int, str) or any(
+            type(x) is not site_type for x in self.vertices
+        ):
+            raise SchemaError("vertices must be all integers or all strings")
         if len(set(self.vertices)) != len(self.vertices):
             raise SchemaError("duplicate vertices")
         vset = set(self.vertices)
         for x, y in self.edges:
-            if x not in vset or y not in vset:
+            if not all(type(v) is site_type and v in vset for v in (x, y)):
                 raise UnknownVertexError(f"edge ({x!r}, {y!r}) leaves the vertex set")
             if x == y:
                 raise SchemaError(f"self-loop at {x!r}")
@@ -90,6 +95,21 @@ class SiteGraph:
     def require_vertex(self, x: Site) -> None:
         if x not in self._vertex_set:
             raise UnknownVertexError(f"not a vertex: {x!r}")
+
+    def parse_site(self, token) -> Site:
+        """The site a document or command-line token names, not checked for
+        membership: integer-vertex graphs read decimal strings as integers."""
+        if isinstance(self.vertices[0], str):
+            if isinstance(token, str):
+                return token
+        elif type(token) is int:
+            return token
+        elif isinstance(token, str):
+            try:
+                return int(token)
+            except ValueError:
+                pass
+        raise SchemaError(f"{token!r} cannot name a site of this graph")
 
     def unordered_edges(self) -> list[tuple[Site, Site]]:
         """Each edge once, endpoints sorted, the list sorted."""
@@ -217,9 +237,9 @@ def load_graph(doc: dict) -> SiteGraph:
         try:
             vertices = list(doc["vertices"])
             edges = [(x, y) for x, y in doc["edges"]]
+            return explicit_graph(vertices, edges, doc.get("symmetry", "lenient"))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad explicit graph document: {exc}") from exc
-        return explicit_graph(vertices, edges, doc.get("symmetry", "lenient"))
     raise SchemaError(f"unknown graph kind {kind!r}")
 
 

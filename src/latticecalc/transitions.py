@@ -55,41 +55,12 @@ class Transition:
         }
 
 
-def _canonical_edge_window(graph: SiteGraph, edge_window) -> list[tuple[Site, Site]]:
-    if edge_window is None:
-        return graph.unordered_edges()
-    out = set()
-    for x, y in edge_window:
-        if (x, y) not in graph.edges:
-            raise UnknownVertexError(f"({x!r}, {y!r}) is not a graph edge")
-        out.add(tuple(sorted((x, y))))
-    return sorted(out)  # type: ignore[arg-type]
-
-
 def _transition(eta: Configuration, edge: tuple[Site, Site], phi_edge: PhiEdge):
     """The transition out of ``eta`` firing ``phi_edge`` at the ordered ``edge``."""
     (x, y), (_, (c, d)) = edge, phi_edge
     return Transition(
         before=eta, after=eta.with_sites({x: c, y: d}), edge=edge, phi_edge=phi_edge
     )
-
-
-def neighbors(
-    phi: Interaction, eta: Configuration, edge_window=None
-) -> list[Transition]:
-    """Single transitions out of ``eta`` along the given edges.
-
-    Each edge fires the moves of ``Interaction.edge_moves``: both
-    orientations, each reachable configuration once.  Results follow a
-    fixed (edge, interaction-edge) order.
-    """
-    if eta.states != phi.states:
-        raise MismatchError("configuration built over a different state space")
-    out = []
-    for x, y in _canonical_edge_window(eta.graph, edge_window):
-        for flipped, phi_edge, _ in phi.edge_moves[(eta.state_at(x), eta.state_at(y))]:
-            out.append(_transition(eta, (y, x) if flipped else (x, y), phi_edge))
-    return out
 
 
 class ConfigCode:
@@ -117,6 +88,18 @@ class ConfigCode:
             for flipped, phi_edge, (c, d) in moves[(s, t)]:
                 edge = (y, x) if flipped else (x, y)
                 yield edge, phi_edge, code + (c - s) * px + (d - t) * py
+
+
+def neighbors(phi: Interaction, eta: Configuration) -> list[Transition]:
+    """Single transitions out of ``eta``, in ``ConfigCode.fire`` order:
+    edges sorted, both orientations, each reachable configuration once."""
+    if eta.states != phi.states:
+        raise MismatchError("configuration built over a different state space")
+    codes = ConfigCode(phi, eta.graph)
+    return [
+        _transition(eta, edge, phi_edge)
+        for edge, phi_edge, _ in codes.fire(codes.encode(eta))
+    ]
 
 
 @dataclass(frozen=True)
@@ -254,16 +237,13 @@ class InvarianceCheck:
 
 
 def is_invariant(
-    f: UniformFunction,
-    phi: Interaction,
-    edge_window=None,
-    state_probe=(),
+    f: UniformFunction, phi: Interaction, state_probe=()
 ) -> InvarianceCheck:
     """Check that f does not change along any transition out of the probes."""
     probes = list(state_probe)
     checked = 0
     for eta in probes:
-        for tr in neighbors(phi, eta, edge_window):
+        for tr in neighbors(phi, eta):
             checked += 1
             if difference(f, tr.before, tr.after) != 0:
                 return InvarianceCheck(
@@ -293,8 +273,7 @@ def transition_from_document(
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"transition document needs edge/from/to: {exc}") from exc
     states = eta.states
-    if isinstance(eta.graph.vertices[0], int):
-        x, y = int(x), int(y)
+    x, y = eta.graph.parse_site(x), eta.graph.parse_site(y)
     phi_edge = (
         (states.index(from_labels[0]), states.index(from_labels[1])),
         (states.index(to_labels[0]), states.index(to_labels[1])),

@@ -643,16 +643,7 @@ def load_configuration(doc: dict, states: StateSpace, graph: SiteGraph) -> Confi
     raw = doc.get("assignments", {})
     if not isinstance(raw, Mapping):
         raise SchemaError("'assignments' must be an object")
-    int_sites = all(isinstance(v, int) for v in graph.vertices)
-    table = {}
-    for key, label in raw.items():
-        site: Site = key
-        if int_sites:
-            try:
-                site = int(key)
-            except ValueError as exc:
-                raise SchemaError(f"bad site key {key!r}") from exc
-        table[site] = states.index(label)
+    table = {graph.parse_site(key): states.index(label) for key, label in raw.items()}
     return configuration(graph, states, base, table)
 
 

@@ -10,7 +10,9 @@ from latticecalc import (
     builtin_interaction,
     configuration,
     lattice_window,
+    linalg,
 )
+from latticecalc.cohomology import _kernel_unknowns
 
 
 @pytest.fixture(scope="session")
@@ -94,3 +96,24 @@ def random_configuration(rng: random.Random, graph, states, base, max_occupied=4
     return configuration(
         graph, states, base, {x: rng.choice(nonbase) for x in sites}
     )
+
+
+def add_pair_component_to_kernel_basis(monkeypatch, graph, pair):
+    """Make the kernel's projection step (``linalg.rref_basis`` over the inner
+    columns) add 1 at entry (1, 1) of the exclusion component on ``pair`` to
+    the first basis vector of an R=1 exclusion kernel on ``graph``."""
+    (a, b), original = graph.window, linalg.rref_basis
+    inner = [
+        key
+        for key in _kernel_unknowns(builtin_interaction("exclusion"), 1, graph, 0)
+        if a + 1 <= key[0][0] and key[0][-1] <= b - 1
+    ]
+    col = inner.index((pair, (1, 1)))
+
+    def tampered(rows, ncols):
+        out = original(rows, ncols)
+        if ncols == len(inner):
+            out[0] = tuple(v + (c == col) for c, v in enumerate(out[0]))
+        return out
+
+    monkeypatch.setattr(linalg, "rref_basis", tampered)

@@ -22,6 +22,8 @@ from latticecalc.uniform import (
 )
 from latticecalc.interaction import consv_basis
 
+from conftest import add_pair_component_to_kernel_basis
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -200,7 +202,9 @@ def test_kernel_report_shape_and_basis_loads(capsys):
         "--window=-4:4",
     )
     assert code == 0
-    outputs = last_report(out)["outputs"]
+    report = last_report(out)
+    assert report["verification"] == [["basis-annihilates-all-rows", "pass"]]
+    outputs = report["outputs"]
     assert outputs["window"] == [-4, 4]
     assert outputs["R"] == 1
     assert outputs["dimension"] == 1
@@ -342,6 +346,30 @@ def test_h0_routes_that_disagree_fail_verification(capsys, monkeypatch):
     )
     assert code == 2 and not out
     assert json.loads(err)["error"]["code"] == "verification-failed"
+
+
+def test_kernel_basis_that_breaks_a_row_fails_verification(capsys, monkeypatch):
+    add_pair_component_to_kernel_basis(monkeypatch, lattice_window(1, -5, 5), (0, 1))
+    code, out, err = run(
+        capsys, "kernel", "--interaction", "exclusion", "--radius", "1",
+        "--window=-5:5",
+    )
+    assert code == 2 and not out
+    assert json.loads(err)["error"]["code"] == "verification-failed"
+
+
+def test_explicit_graph_with_mixed_vertex_types_is_a_schema_error(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "kind": "explicit",
+        "vertices": [0, "a", "b"],
+        "edges": [[0, "a"], ["a", "b"], [0, "b"]],
+    }))
+    code, out, err = run(
+        capsys, "h0", "--interaction", "exclusion", "--graph", str(path)
+    )
+    assert code == 1 and not out
+    assert json.loads(err)["error"]["code"] == "schema"
 
 
 def test_table_format_renders_text(capsys):

@@ -15,7 +15,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latticecalc import errors, linalg
+from latticecalc import cohomology, errors, linalg
 from latticecalc.cohomology import (
     CONSERVED,
     NONZERO_MULTI_SITE,
@@ -41,14 +41,17 @@ from latticecalc.interaction import (
 )
 from latticecalc.localfn import ExactSupportFunction
 from latticecalc.sitegraph import diameter_of, lattice_window, path_graph
-from latticecalc.transitions import is_invariant
+from latticecalc.transitions import neighbors
 from latticecalc.uniform import (
     configuration,
+    difference,
     explicit_uniform,
     families_equal,
     family_map,
     xi_X,
 )
+
+from conftest import add_pair_component_to_kernel_basis
 
 EXCLUSION = builtin_interaction("exclusion")
 MS2 = builtin_interaction("multispecies:2")
@@ -267,6 +270,33 @@ def test_kernel_elimination_matches_sympy():
     assert len(unknowns) - mat.rank() >= rep.dimension
 
 
+def inner_transitions(phi, probes, lo, hi):
+    """Transitions out of the probes fired at edges inside [lo, hi]."""
+    return [
+        tr
+        for eta in probes
+        for tr in neighbors(phi, eta)
+        if lo <= min(tr.edge) and max(tr.edge) <= hi
+    ]
+
+
+def reference_probe_check(phi, report, graph, base):
+    """The check ``latticecalc kernel`` ran before its exact certificate: each
+    basis function is invariant along every transition at an inner edge out
+    of a configuration with at most one non-base site in the inner window."""
+    lo, hi = report.inner_window
+    probes = [configuration(graph, phi.states, base, {})]
+    for site in range(lo, hi + 1):
+        for state in range(phi.states.n):
+            if state != base:
+                probes.append(configuration(graph, phi.states, base, {site: state}))
+    return all(
+        difference(f, tr.before, tr.after) == 0
+        for f in report.basis
+        for tr in inner_transitions(phi, probes, lo, hi)
+    )
+
+
 def test_kernel_dimensions_for_multispecies():
     g = lattice_window(1, -4, 4)
     rep = invariance_kernel(MS2, 1, g, 0)
@@ -280,12 +310,11 @@ def test_kernel_dimensions_for_multispecies():
             probes.append(
                 configuration(g, MS2.states, 0, {site: state, lo: 2 if site != lo else 1})
             )
-    inner_edges = [
-        (x, y) for x, y in g.unordered_edges() if lo <= x and y <= hi
-    ]
     for f in rep.basis:
-        check = is_invariant(f, MS2, edge_window=inner_edges, state_probe=probes)
-        assert check.invariant
+        assert all(
+            difference(f, tr.before, tr.after) == 0
+            for tr in inner_transitions(MS2, probes, lo, hi)
+        )
 
 
 def test_kernel_contains_every_conserved_sum():
@@ -430,3 +459,52 @@ def test_exchange_lift():
 def test_exchange_rows_add_no_rank_for_generated_interactions(phi, probe_bound):
     assert is_exchangeable(phi)
     assert_exchange_rows_add_no_rank(phi, lattice_window(1, -4, 4), 0, probe_bound)
+
+
+# ---------------------------------------------------------------------------
+# the kernel certifies its basis against every constraint row
+
+
+@pytest.mark.parametrize(
+    "name", ["exclusion", "multispecies:2", "multispecies:3", "two-species-ac", "quastel2"]
+)
+def test_kernel_certificate_holds_for_every_builtin_and_base(name):
+    phi = builtin_interaction(name)
+    g = lattice_window(1, -5, 5)
+    for base in range(phi.states.n):
+        report = invariance_kernel(phi, 1, g, base)
+        assert reference_probe_check(phi, report, g, base)
+
+
+@st.composite
+def small_interactions(draw):
+    n = draw(st.integers(2, 3))
+    pairs = list(itertools.product(range(n), repeat=2))
+    edges = draw(st.sets(st.tuples(st.sampled_from(pairs), st.sampled_from(pairs)),
+                         max_size=6))
+    base = draw(st.integers(0, n - 1))
+    return make_interaction(state_space([str(i) for i in range(n)], str(base)), edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(phi=small_interactions(), radius=st.integers(0, 1))
+def test_kernel_certificate_holds_for_generated_interactions(phi, radius):
+    g = lattice_window(1, -5, 5)
+    base = phi.states.base_index
+    report = invariance_kernel(phi, radius, g, base)
+    assert reference_probe_check(phi, report, g, base)
+
+
+def test_certificate_rejects_a_basis_the_probes_accept(monkeypatch):
+    """A pair component at (1, 1) changes only when a particle hops next to
+    another, which no probe with one particle shows, but a row does."""
+    g = lattice_window(1, -5, 5)
+    honest = invariance_kernel(EXCLUSION, 1, g, 0)
+    add_pair_component_to_kernel_basis(monkeypatch, g, (0, 1))
+    with pytest.raises(errors.VerificationError):
+        invariance_kernel(EXCLUSION, 1, g, 0)
+    monkeypatch.setattr(cohomology, "_certify_basis", lambda *args: None)
+    tampered = invariance_kernel(EXCLUSION, 1, g, 0)
+    assert (0, 1) in family_map(tampered.basis[0])
+    assert (0, 1) not in family_map(honest.basis[0])
+    assert reference_probe_check(EXCLUSION, tampered, g, 0)

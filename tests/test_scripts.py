@@ -1,0 +1,33 @@
+"""Smoke tests: the experiment scripts run against the package and print
+the figures they exist to show."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return done.stdout
+
+
+def test_kernel_stabilization_prints_unknowns_rank_and_dimension():
+    out = run_script(
+        "kernel_stabilization.py", "--lengths", "8", "--interactions", "exclusion"
+    )
+    row = re.search(r"^\s*8\s+\[.*?\]\s+(\d+)\s+(\d+)\s+(\d+)\s", out, re.MULTILINE)
+    assert row, out
+    assert row.groups() == ("17", "14", "1")
+
+
+def test_survey_builtins_prints_finite_h0_and_h1():
+    out = run_script("survey_builtins.py", "--interactions", "exclusion")
+    assert "h0 4, h1 0" in out

@@ -107,6 +107,39 @@ def test_graph_validation_errors():
         cycle_graph(2)
 
 
+@pytest.mark.parametrize(
+    "vertices,edges",
+    [
+        ([0, "a", "b"], [[0, "a"], ["a", "b"], [0, "b"]]),
+        ([[1], [2]], [[[1], [2]]]),
+        ([True, 2], [[True, 2]]),
+        ([0.5, 1.5], [[0.5, 1.5]]),
+        ([1, 2], [[[1], 2]]),
+    ],
+    ids=["int-and-str", "lists", "bool", "floats", "unhashable-edge"],
+)
+def test_explicit_graph_documents_need_int_or_str_vertices(vertices, edges):
+    with pytest.raises(errors.SchemaError):
+        load_graph({"kind": "explicit", "vertices": vertices, "edges": edges})
+
+
+def test_edge_endpoints_must_have_the_vertex_type():
+    with pytest.raises(errors.UnknownVertexError):
+        explicit_graph([1, 2], [(True, 2)])
+    with pytest.raises(errors.UnknownVertexError):
+        explicit_graph([1, 2], [(1.0, 2)])
+
+
+def test_parse_site_reads_tokens_by_vertex_type():
+    ints, strs = path_graph(3), explicit_graph(["a", "1"], [("a", "1")])
+    assert ints.parse_site("2") == 2 and ints.parse_site(-7) == -7
+    assert strs.parse_site("a") == "a" and strs.parse_site("1") == "1"
+    for graph, token in [(ints, "a"), (ints, True), (ints, 1.0), (ints, [1]),
+                         (strs, 1), (strs, ["a"])]:
+        with pytest.raises(errors.SchemaError):
+            graph.parse_site(token)
+
+
 def test_unknown_vertex_lookups_raise():
     g = path_graph(3)
     with pytest.raises(errors.UnknownVertexError):

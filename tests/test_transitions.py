@@ -84,14 +84,6 @@ def test_swap_moves_are_not_double_counted():
     assert found[0].after == eta.with_sites({0: 2, 1: 1})
 
 
-def test_edge_window_restricts_firing():
-    eta = configuration(G13, EXCLUSION.states, 0, {0: 1})
-    found = neighbors(EXCLUSION, eta, edge_window=[(0, 1)])
-    assert len(found) == 1
-    with pytest.raises(errors.UnknownVertexError):
-        neighbors(EXCLUSION, eta, edge_window=[(0, 99)])
-
-
 def test_transition_validation_rejects_mismatched_states():
     eta = configuration(G13, EXCLUSION.states, 0, {0: 1})
     good = neighbors(EXCLUSION, eta)[0]
@@ -165,6 +157,16 @@ def test_transition_document_must_fire_at_a_graph_edge():
         transition_from_document(jump, EXCLUSION, eta)
     good = transition_from_document({**jump, "edge": [0, 1]}, EXCLUSION, eta)
     assert good.after == eta.with_sites({0: 0, 1: 1})
+
+
+def test_transition_document_sites_must_name_sites_of_the_graph():
+    eta = configuration(G13, EXCLUSION.states, 0, {0: 1})
+    for edge in (["a", 1], [True, 1], [[0], 1]):
+        doc = {"edge": edge, "from": ["1", "0"], "to": ["0", "1"]}
+        with pytest.raises(errors.SchemaError):
+            transition_from_document(doc, EXCLUSION, eta)
+    good = {"edge": ["0", "1"], "from": ["1", "0"], "to": ["0", "1"]}
+    assert transition_from_document(good, EXCLUSION, eta).edge == (0, 1)
 
 
 @pytest.mark.parametrize("bad", [0, -5])

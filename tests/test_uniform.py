@@ -247,6 +247,14 @@ def test_configuration_document_roundtrip():
     assert load_configuration(doc, ST, G) == eta
 
 
+def test_configuration_document_sites_follow_the_vertex_type():
+    with pytest.raises(errors.SchemaError):
+        load_configuration({"base": "0", "assignments": {"a": "1"}}, ST, G)
+    g = explicit_graph(["a", "7"], [("a", "7")])
+    eta = load_configuration({"base": "0", "assignments": {"7": "1"}}, ST, g)
+    assert eta.assignments == (("7", 2),)
+
+
 def test_local_function_document_roundtrip():
     f = LocalFunction.from_entries(ST, (0, 1), {(0, 2): Fraction(5, 3)})
     doc = local_function_to_document(f)
