@@ -465,16 +465,13 @@ def cmd_kernel(args) -> int:
     else:
         raise SchemaError("kernel needs --window a:b or --graph")
     base = _base_index(phi.states, args.base)
-    report = invariance_kernel(
-        phi, args.radius, graph, base, probe_bound=args.probe_bound
-    )
+    report = invariance_kernel(phi, args.radius, graph, base)
     # invariance_kernel raises VerificationError unless this check passes
     verification = [("basis-annihilates-all-rows", "pass")]
     outputs = {
         "window": list(report.window),
         "k": report.k,
         "R": report.radius,
-        "probe_bound": report.probe_bound,
         "inner_window": list(report.inner_window),
         "unknowns": report.unknown_count,
         "rank": report.constraint_rank,
@@ -567,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1, help="interaction range for --window")
     p.add_argument("--graph")
     p.add_argument("--base")
-    p.add_argument("--probe-bound", type=int)
 
     return parser
 

@@ -27,12 +27,11 @@ from .errors import (
     CapExceededError,
     MismatchError,
     NormalizationError,
-    NotExchangeableError,
     SchemaError,
     VerificationError,
     WindowTooSmallError,
 )
-from .interaction import ConservedQuantity, Interaction, pair_exchange_path
+from .interaction import ConservedQuantity, Interaction
 from .localfn import ExactSupportFunction
 from .sitegraph import LATTICE_Z, SiteGraph
 from .transitions import ConfigCode
@@ -196,7 +195,6 @@ class KernelReport:
     window: tuple[int, int]
     k: int
     radius: int
-    probe_bound: int
     inner_window: tuple[int, int]
     unknown_count: int
     constraint_rank: int
@@ -222,15 +220,6 @@ def _candidate_supports(graph: SiteGraph, radius: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _patterns(region, nonbase, bound):
-    """Assignments {site -> nonbase state} on <= bound sites of the region."""
-    region = sorted(region)
-    for r in range(min(bound, len(region)) + 1):
-        for sites in combinations(region, r):
-            for values in product(nonbase, repeat=r):
-                yield dict(zip(sites, values))
-
-
 def _kernel_unknowns(phi: Interaction, radius: int, graph: SiteGraph, base: int):
     nonbase = [s for s in range(phi.states.n) if s != base]
     unknowns = []
@@ -250,59 +239,38 @@ def _kernel_index(unknowns):
     return uid, by_site
 
 
-def _exchange_lift(phi: Interaction, base: int) -> int:
-    """Most non-base states a ``pair_exchange_path`` step carries beyond the
-    swapped pair, over every pair that can be swapped."""
-    lift = 0
-    for s, t in product(range(phi.states.n), repeat=2):
-        try:
-            steps = pair_exchange_path(phi, s, t)
-        except NotExchangeableError:
-            continue
-        width = (s != base) + (t != base)
-        carried = (sum(u != base for u in pair) for step in steps for pair in step)
-        lift = max(lift, max(carried, default=width) - width)
-    return lift
-
-
 def _kernel_rows(
     phi: Interaction,
     radius: int,
     graph: SiteGraph,
     base: int,
-    probe_bound: int,
     uid: dict,
     by_site: dict,
 ):
-    """Constraint rows: one per (transition at an inner edge, local pattern).
+    """Constraint rows: one per (transition at an inner edge, admissible
+    pattern); their span is the span of the rows of every configuration.
 
-    A row depends only on the configuration near its fired edge, so
-    enumerating local patterns with at most ``probe_bound + lift``
-    non-base sites yields exactly the rows contributed by every
-    configuration of that support bound; ``lift`` is ``_exchange_lift``.
+    Fix an inner edge (x, y), the states at x and y, and a move there.  The
+    row of a configuration P is the sum, over candidate supports λ meeting
+    {x, y}, of a term that depends on P only through P on λ∖{x, y}.  Write
+    S for the non-base sites of P outside {x, y} and P|T for P with every
+    site of S∖T set to base.  Möbius inversion over subsets of S gives
+    row(P) = Σ_{T⊆S} G_T with G_T = Σ_{U⊆T} (-1)^{|T|-|U|} row(P|U), and
+    G_T vanishes unless T ⊆ λ∖{x, y} for some λ, so unless T ∪ {x} or
+    T ∪ {y} spans at most k·R.  Call such T *admissible*; every subset of
+    one is too.  So the row of any configuration, of any size, is a signed
+    sum of rows of the admissible patterns P|U, which are themselves
+    configurations, and the kernel is exact over every configuration.  The
+    fired edge is inner, so every admissible site lies in the window.
 
-    No row is emitted for exchanging two distant sites: such a row already
-    lies in the span of these whenever the swap can be played.  Let x < y be
-    inner sites and P a pattern with at most ``probe_bound`` non-base sites.
-    ``swap_path`` turns P into P^{xy} by transitions at inner edges between
-    x and y, and the row of the swap is the telescoping sum of their rows.
-    Each step rearranges P except for the pair it exchanges, which walks a
-    ``pair_exchange_path`` carrying at most ``lift`` extra non-base states,
-    so every step's row is emitted, up to sign.  ``lift`` is 0 for every
-    builtin at every base: each of its swaps is a single interaction edge.
+    Patterns come edge by edge in order of (|S|, S), then values: rows of
+    small patterns first keep the elimination's fill low.
     """
     a, b = graph.window
     reach = graph.k * radius
     lo, hi = a + reach, b - reach
-    nonbase = [s for s in range(phi.states.n) if s != base]
-    bound = probe_bound + _exchange_lift(phi, base)
-
-    def region_around(x, y):
-        return [
-            s
-            for s in range(min(x, y) - reach, max(x, y) + reach + 1)
-            if a <= s <= b and (abs(s - x) <= reach or abs(s - y) <= reach)
-        ]
+    states = range(phi.states.n)
+    nonbase = [s for s in states if s != base]
 
     def row_for(before: dict, after: dict, delta) -> dict:
         row: dict[int, int] = {}
@@ -322,21 +290,31 @@ def _kernel_rows(
                 row[key] = row.get(key, 0) - 1
         return {c: v for c, v in row.items() if v}
 
+    def admissible(x, y):
+        others = [s for s in range(x - reach, y + reach + 1) if s not in (x, y)]
+        for r in range(len(others) + 1):
+            for sites in combinations(others, r):
+                if not sites or any(
+                    max(sites[-1], z) - min(sites[0], z) <= reach for z in (x, y)
+                ):
+                    yield sites
+
     # single transitions whose fired edge sits in the inner window
     for x, y in graph.unordered_edges():
         if not (lo <= x and y <= hi):
             continue
-        region = region_around(x, y)
-        for pattern in _patterns(region, nonbase, bound):
-            s, t = pattern.get(x, base), pattern.get(y, base)
-            for _, _, (c, d) in phi.edge_moves[(s, t)]:
-                if (c, d) == (s, t):
-                    continue
-                after = {**pattern, x: c, y: d}
-                delta = [site for site, old, new in ((x, s, c), (y, t, d)) if old != new]
-                row = row_for(pattern, after, delta)
-                if row:
-                    yield row
+        for sites in admissible(x, y):
+            for s, t, *values in product(states, states, *[nonbase] * len(sites)):
+                pattern = dict(zip(sites, values))
+                pattern[x], pattern[y] = s, t
+                for _, _, (c, d) in phi.edge_moves[(s, t)]:
+                    if (c, d) == (s, t):
+                        continue
+                    after = {**pattern, x: c, y: d}
+                    delta = [site for site, old, new in ((x, s, c), (y, t, d)) if old != new]
+                    row = row_for(pattern, after, delta)
+                    if row:
+                        yield row
 
 
 def _certify_basis(basis, uid: dict, reducer: linalg.RowReducer) -> None:
@@ -364,17 +342,17 @@ def invariance_kernel(
     radius: int,
     graph: SiteGraph,
     base: int,
-    probe_bound: int | None = None,
 ) -> KernelReport:
     """Solution space of "every transition difference vanishes" on a window.
 
     Unknowns are the exact-support table entries of all candidate components
     inside the window.  Constraints come from transitions fired inside the
-    inner window (so no component pokes outside the window); composite
-    exchange moves add no rank, as ``_kernel_rows`` shows.  Components not
-    contained in the inner window are boundary artifacts; the reported basis
-    is the canonical basis of the kernel projected onto the inner window,
-    certified by ``_certify_basis`` against every constraint row.
+    inner window (so no component pokes outside the window); their span is
+    that of the rows of every configuration, as ``_kernel_rows`` shows.
+    Components not contained in the inner window are boundary artifacts; the
+    reported basis is the canonical basis of the kernel projected onto the
+    inner window, certified by ``_certify_basis`` against every constraint
+    row.
     """
     if graph.kind != LATTICE_Z:
         raise SchemaError("invariance kernel needs an integer-lattice window")
@@ -387,16 +365,13 @@ def invariance_kernel(
         raise WindowTooSmallError(
             f"window length {b - a} below the minimum {4 * (radius + 1)}"
         )
-    p = radius + 3 if probe_bound is None else probe_bound
-    if not isinstance(p, int) or p < 1:
-        raise SchemaError("probe bound must be a positive integer")
     unknowns = _kernel_unknowns(phi, radius, graph, base)
     limit = caps.current().max_unknowns
     if len(unknowns) > limit:
         raise CapExceededError(f"{len(unknowns)} unknowns exceed cap {limit}")
     uid, by_site = _kernel_index(unknowns)
     reducer = linalg.RowReducer()
-    for row in _kernel_rows(phi, radius, graph, base, p, uid, by_site):
+    for row in _kernel_rows(phi, radius, graph, base, uid, by_site):
         reducer.add(row)
     kernel_vectors = linalg.nullspace_of(reducer, len(unknowns))
     margin = graph.k * radius
@@ -436,7 +411,6 @@ def invariance_kernel(
         window=(a, b),
         k=graph.k,
         radius=radius,
-        probe_bound=p,
         inner_window=(lo, hi),
         unknown_count=len(unknowns),
         constraint_rank=reducer.rank,

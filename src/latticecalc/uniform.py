@@ -644,6 +644,8 @@ def load_configuration(doc: dict, states: StateSpace, graph: SiteGraph) -> Confi
     if not isinstance(raw, Mapping):
         raise SchemaError("'assignments' must be an object")
     table = {graph.parse_site(key): states.index(label) for key, label in raw.items()}
+    if len(table) != len(raw):
+        raise SchemaError("two assignment keys name the same site")
     return configuration(graph, states, base, table)
 
 

@@ -205,6 +205,9 @@ def test_kernel_report_shape_and_basis_loads(capsys):
     report = last_report(out)
     assert report["verification"] == [["basis-annihilates-all-rows", "pass"]]
     outputs = report["outputs"]
+    assert set(outputs) == {
+        "window", "k", "R", "inner_window", "unknowns", "rank", "dimension", "basis"
+    }
     assert outputs["window"] == [-4, 4]
     assert outputs["R"] == 1
     assert outputs["dimension"] == 1

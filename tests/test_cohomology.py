@@ -23,11 +23,9 @@ from latticecalc.cohomology import (
     UNEQUAL_SINGLE_SITE,
     CochainSpaceSummary,
     _candidate_supports,
-    _exchange_lift,
     _kernel_index,
     _kernel_rows,
     _kernel_unknowns,
-    _patterns,
     extract_conserved,
     h0_h1_finite,
     invariance_kernel,
@@ -260,7 +258,7 @@ def test_kernel_elimination_matches_sympy():
     g = lattice_window(1, -4, 4)
     unknowns = _kernel_unknowns(EXCLUSION, 1, g, 0)
     uid, by_site = _kernel_index(unknowns)
-    rows = list(_kernel_rows(EXCLUSION, 1, g, 0, 4, uid, by_site))
+    rows = list(_kernel_rows(EXCLUSION, 1, g, 0, uid, by_site))
     mat = sympy.Matrix(
         [[row.get(c, 0) for c in range(len(unknowns))] for row in rows]
     )
@@ -322,7 +320,7 @@ def test_kernel_contains_every_conserved_sum():
     g = lattice_window(1, -4, 4)
     unknowns = _kernel_unknowns(AC, 1, g, 1)
     uid, by_site = _kernel_index(unknowns)
-    rows = list(_kernel_rows(AC, 1, g, 1, 4, uid, by_site))
+    rows = list(_kernel_rows(AC, 1, g, 1, uid, by_site))
     for xi in consv_basis(AC, 1):
         vec = [Fraction(0)] * len(unknowns)
         for i, (lam, entry) in enumerate(unknowns):
@@ -341,7 +339,71 @@ def test_kernel_for_the_nonexchangeable_variant_runs():
 
 
 # ---------------------------------------------------------------------------
-# exchange rows add no rank to the transition rows
+# references: rows of every configuration, and exchange rows
+
+
+def _patterns(region, nonbase, bound):
+    """Assignments {site -> nonbase state} on <= bound sites of the region."""
+    region = sorted(region)
+    for r in range(min(bound, len(region)) + 1):
+        for sites in itertools.combinations(region, r):
+            for values in itertools.product(nonbase, repeat=r):
+                yield dict(zip(sites, values))
+
+
+def reference_kernel_rows(phi, radius, graph, base, probe_bound, uid, by_site):
+    """Rows of each transition at an inner edge out of each pattern with at
+    most ``probe_bound`` non-base sites near the edge: the kernel's generator
+    before it enumerated admissible patterns.
+
+    A row reads the configuration only within k*R of the fired edge, so with
+    the bound at the number of window sites these are the rows of every
+    configuration.
+    """
+    a, b = graph.window
+    reach = graph.k * radius
+    lo, hi = a + reach, b - reach
+    nonbase = [s for s in range(phi.states.n) if s != base]
+
+    def region_around(x, y):
+        return [
+            s
+            for s in range(min(x, y) - reach, max(x, y) + reach + 1)
+            if a <= s <= b and (abs(s - x) <= reach or abs(s - y) <= reach)
+        ]
+
+    def row_for(before, after, delta):
+        row = {}
+        lams = set()
+        for d in delta:
+            lams.update(by_site.get(d, ()))
+        for lam in lams:
+            be = tuple(before.get(s, base) for s in lam)
+            af = tuple(after.get(s, base) for s in lam)
+            if be == af:
+                continue
+            if base not in af:
+                key = uid[(lam, af)]
+                row[key] = row.get(key, 0) + 1
+            if base not in be:
+                key = uid[(lam, be)]
+                row[key] = row.get(key, 0) - 1
+        return {c: v for c, v in row.items() if v}
+
+    for x, y in graph.unordered_edges():
+        if not (lo <= x and y <= hi):
+            continue
+        region = region_around(x, y)
+        for pattern in _patterns(region, nonbase, probe_bound):
+            s, t = pattern.get(x, base), pattern.get(y, base)
+            for _, _, (c, d) in phi.edge_moves[(s, t)]:
+                if (c, d) == (s, t):
+                    continue
+                after = {**pattern, x: c, y: d}
+                delta = [site for site, old, new in ((x, s, c), (y, t, d)) if old != new]
+                row = row_for(pattern, after, delta)
+                if row:
+                    yield row
 
 
 def reference_exchange_rows(phi, radius, graph, base, probe_bound, uid, by_site):
@@ -377,11 +439,12 @@ def reference_exchange_rows(phi, radius, graph, base, probe_bound, uid, by_site)
 def assert_exchange_rows_add_no_rank(phi, graph, base, probe_bound):
     unknowns = _kernel_unknowns(phi, 1, graph, base)
     uid, by_site = _kernel_index(unknowns)
-    reducer = linalg.echelon(_kernel_rows(phi, 1, graph, base, probe_bound, uid, by_site))
+    reducer = linalg.echelon(_kernel_rows(phi, 1, graph, base, uid, by_site))
     rank = reducer.rank
     for row in reference_exchange_rows(phi, 1, graph, base, probe_bound, uid, by_site):
         reducer.add(row)
     assert reducer.rank == rank
+    return rank
 
 
 @pytest.mark.parametrize("probe_bound", [1, 2, 4], ids=["p1", "p2", "default"])
@@ -432,23 +495,12 @@ def exchangeable_interactions(draw):
 
 def _heavier_swap_route():
     """(0,3) reaches (3,0) only through (1,2) and (1,3), one non-base state
-    heavier; at probe bound 1 the rows of bound-1 patterns alone have rank
-    36 and the exchange rows raise it to 42."""
+    heavier: see ``test_heavier_swap_route_needs_no_lift``."""
     states = state_space(["0", "1", "2", "3"], base="0")
     swaps = [((0, 1), (1, 0)), ((0, 2), (2, 0)), ((1, 2), (2, 1)), ((1, 3), (3, 1)),
              ((2, 3), (3, 2))]
     route = [((0, 3), (1, 2)), ((1, 2), (1, 3)), ((1, 3), (3, 0))]
     return make_interaction(states, swaps + route)
-
-
-def test_exchange_lift():
-    for name in ["exclusion", "multispecies:2", "multispecies:3", "two-species-ac",
-                 "quastel2"]:
-        phi = builtin_interaction(name)
-        for base in range(phi.states.n):
-            assert _exchange_lift(phi, base) == 0, (name, base)
-    assert _exchange_lift(_heavier_swap_route(), 0) == 1
-    assert _exchange_lift(_four_state_detour(), 0) == 1
 
 
 @settings(max_examples=15, deadline=None)
@@ -459,6 +511,22 @@ def test_exchange_lift():
 def test_exchange_rows_add_no_rank_for_generated_interactions(phi, probe_bound):
     assert is_exchangeable(phi)
     assert_exchange_rows_add_no_rank(phi, lattice_window(1, -4, 4), 0, probe_bound)
+
+
+def test_heavier_swap_route_needs_no_lift():
+    """On [-4, 4], the rows of patterns with at most one non-base site have
+    rank 36 and exchange rows raise it to 42.  The admissible rows have rank
+    92, the rank of the rows of every configuration, and exchange rows add
+    nothing."""
+    phi, g = _heavier_swap_route(), lattice_window(1, -4, 4)
+    uid, by_site = _kernel_index(_kernel_unknowns(phi, 1, g, 0))
+    bounded = linalg.echelon(reference_kernel_rows(phi, 1, g, 0, 1, uid, by_site))
+    assert bounded.rank == 36
+    for row in reference_exchange_rows(phi, 1, g, 0, 1, uid, by_site):
+        bounded.add(row)
+    assert bounded.rank == 42
+    assert assert_exchange_rows_add_no_rank(phi, g, 0, 1) == 92
+    assert assert_admissible_rows_span_every_configuration(phi, 1, g, 0) == 92
 
 
 # ---------------------------------------------------------------------------
@@ -508,3 +576,59 @@ def test_certificate_rejects_a_basis_the_probes_accept(monkeypatch):
     assert (0, 1) in family_map(tampered.basis[0])
     assert (0, 1) not in family_map(honest.basis[0])
     assert reference_probe_check(EXCLUSION, tampered, g, 0)
+
+
+# ---------------------------------------------------------------------------
+# admissible rows span the rows of every configuration
+
+
+def assert_admissible_rows_span_every_configuration(phi, radius, graph, base):
+    """The kernel's rows and the rows of every configuration of the window
+    have equal rank, and together no more."""
+    uid, by_site = _kernel_index(_kernel_unknowns(phi, radius, graph, base))
+    admissible = list(_kernel_rows(phi, radius, graph, base, uid, by_site))
+    rank = linalg.rank(admissible)
+    every = linalg.echelon(
+        reference_kernel_rows(phi, radius, graph, base, len(graph.vertices), uid, by_site)
+    )
+    assert every.rank == rank
+    for row in admissible:
+        every.add(row)
+    assert every.rank == rank
+    return rank
+
+
+def smallest_window(k, radius):
+    return lattice_window(k, -2 * (radius + 1), 2 * (radius + 1))
+
+
+# multispecies:3 at k=3 is left out: 4^9 configurations per edge take about
+# a minute per base.
+EXACTNESS_CASES = [
+    (name, k, radius)
+    for name in ["exclusion", "multispecies:2", "multispecies:3", "two-species-ac",
+                 "quastel2"]
+    for k, radius in [(1, 1), (1, 2), (2, 1), (3, 1)]
+    if (name, k) != ("multispecies:3", 3)
+] + [("heavier-swap-route", 1, 1), ("four-state-detour", 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "name,k,radius", EXACTNESS_CASES, ids=[f"{n}-k{k}r{r}" for n, k, r in EXACTNESS_CASES]
+)
+def test_admissible_rows_span_every_configuration(name, k, radius):
+    phi = {
+        "heavier-swap-route": _heavier_swap_route, "four-state-detour": _four_state_detour,
+    }.get(name, lambda: builtin_interaction(name))()
+    for base in range(phi.states.n):
+        assert_admissible_rows_span_every_configuration(
+            phi, radius, smallest_window(k, radius), base
+        )
+
+
+@settings(max_examples=15, deadline=None)
+@given(phi=small_interactions(), k=st.integers(1, 2), radius=st.integers(0, 1))
+def test_admissible_rows_span_every_configuration_for_generated_interactions(phi, k, radius):
+    assert_admissible_rows_span_every_configuration(
+        phi, radius, smallest_window(k, radius), phi.states.base_index
+    )

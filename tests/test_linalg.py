@@ -246,7 +246,7 @@ def test_kernel_rows_match_the_fraction_reference(name, radius, base_label, wind
     base = phi.states.index(base_label)
     unknowns = _kernel_unknowns(phi, radius, graph, base)
     uid, by_site = _kernel_index(unknowns)
-    rows = list(_kernel_rows(phi, radius, graph, base, radius + 3, uid, by_site))
+    rows = list(_kernel_rows(phi, radius, graph, base, uid, by_site))
     assert_matches_reference(rows, len(unknowns))
 
 

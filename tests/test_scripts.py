@@ -28,6 +28,16 @@ def test_kernel_stabilization_prints_unknowns_rank_and_dimension():
     assert row.groups() == ("17", "14", "1")
 
 
+def test_kernel_stabilization_runs_at_radius_two():
+    out = run_script(
+        "kernel_stabilization.py", "--radius", "2", "--lengths", "12",
+        "--interactions", "multispecies:2",
+    )
+    row = re.search(r"^\s*12\s+\[.*?\]\s+(\d+)\s+(\d+)\s+(\d+)\s", out, re.MULTILINE)
+    assert row, out
+    assert row.groups() == ("206", "188", "2")
+
+
 def test_survey_builtins_prints_finite_h0_and_h1():
     out = run_script("survey_builtins.py", "--interactions", "exclusion")
     assert "h0 4, h1 0" in out

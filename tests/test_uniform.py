@@ -255,6 +255,15 @@ def test_configuration_document_sites_follow_the_vertex_type():
     assert eta.assignments == (("7", 2),)
 
 
+@pytest.mark.parametrize(
+    "assignments", [{"1": "1", "01": "0"}, {"01": "0", "1": "1"}], ids=["1-01", "01-1"]
+)
+def test_configuration_document_rejects_two_keys_for_one_site(assignments):
+    with pytest.raises(errors.SchemaError):
+        load_configuration({"base": "0", "assignments": assignments},
+                           builtin_interaction("exclusion").states, path_graph(3))
+
+
 def test_local_function_document_roundtrip():
     f = LocalFunction.from_entries(ST, (0, 1), {(0, 2): Fraction(5, 3)})
     doc = local_function_to_document(f)
