@@ -4,8 +4,9 @@ Three entry points:
 
 * ``h0_h1_finite`` enumerates every configuration of a finite system and
   computes the dimensions of locally constant functions (h0) and of cycles
-  modulo differences (h1), cross-checking h0 by two independent routes:
-  connected components and the exact rank of the difference operator.
+  modulo differences (h1).  One breadth-first search yields both h0 routes,
+  the component count and the exact rank of every transition pair, and its
+  star-ordered columns eliminate each pair in at most two steps.
 
 * ``extract_conserved`` decides whether a uniform function is the site-wise
   sum of a conserved quantity, returning either the quantity or a typed
@@ -62,59 +63,57 @@ class CochainSpaceSummary:
             raise SchemaError("h1 violates rank-nullity")
 
 
-class _UnionFind:
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-        self.count = size
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-            self.count -= 1
-
-
 def h0_h1_finite(phi: Interaction, graph: SiteGraph) -> CochainSpaceSummary:
     """Exact cochain dimensions for a finite system by full enumeration.
 
-    Builds every configuration of the graph, collects the unordered
-    transition pairs, and counts components (union-find) as well as the rank
-    of the difference operator (exact elimination).  The two h0 routes must
+    One breadth-first search over the ``ConfigCode`` integers labels the
+    components and feeds each unordered transition pair {u, w} once to a
+    ``linalg.RowReducer``: when u is popped and w is new or was discovered
+    after u.  The component count and V − rank by exact elimination must
     agree or the computation aborts.
+
+    A component starts at each code not yet seen, in ascending order; the
+    root of the c-th takes column V − c, every other configuration the next
+    column from 0 upward in discovery order.  Invariant: every pivot row is
+    a star row {v: 1, root of v: −1}.  So the row {u, w} reduces through u's
+    star row to {w, root}, then through w's star row to nothing, or it is
+    kept as w's star row: at most two elimination steps per pair.
     """
     codes = ConfigCode(phi, graph)
     size = codes.size
     limit = caps.current().max_table
     if size > limit:
         raise CapExceededError(f"{size} configurations exceed cap {limit}")
-    pairs: set[tuple[int, int]] = set()
-    for config_id in range(size):
-        for _, _, other in codes.fire(config_id):
-            if other != config_id:
-                pairs.add((min(config_id, other), max(config_id, other)))
-    finder = _UnionFind(size)
-    for i, j in pairs:
-        finder.union(i, j)
     reducer = linalg.RowReducer()
-    for i, j in sorted(pairs):
-        reducer.add({i: -1, j: 1})
-    rank = reducer.rank
-    if finder.count != size - rank:
+    column = [-1] * size
+    free, top, pairs = 0, size, 0
+    for start in range(size):
+        if column[start] >= 0:
+            continue
+        top -= 1
+        column[start] = top
+        queue = [start]
+        for u in queue:  # the loop reaches every code appended below
+            cu = column[u]
+            # w was discovered after u iff lo < column[w] < top (u itself fails)
+            lo = cu if cu < top else -1
+            for w in dict.fromkeys(w for _, _, w in codes.fire(u)):
+                if column[w] < 0:
+                    column[w] = free
+                    free += 1
+                    queue.append(w)
+                if lo < column[w] < top:
+                    reducer.add({cu: -1, column[w]: 1})
+                    pairs += 1
+    components, rank = size - top, reducer.rank
+    if components != size - rank:
         raise VerificationError("component count and difference rank disagree")
     return CochainSpaceSummary(
         dim_c0=size,
-        dim_c1=len(pairs),
+        dim_c1=pairs,
         rank_d=rank,
-        h0=finder.count,
-        h1=len(pairs) - rank,
+        h0=components,
+        h1=pairs - rank,
     )
 
 

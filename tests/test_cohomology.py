@@ -38,8 +38,14 @@ from latticecalc.interaction import (
     state_space,
 )
 from latticecalc.localfn import ExactSupportFunction
-from latticecalc.sitegraph import diameter_of, lattice_window, path_graph
-from latticecalc.transitions import neighbors
+from latticecalc.sitegraph import (
+    cycle_graph,
+    diameter_of,
+    explicit_graph,
+    lattice_window,
+    path_graph,
+)
+from latticecalc.transitions import ConfigCode, neighbors
 from latticecalc.uniform import (
     configuration,
     difference,
@@ -57,11 +63,12 @@ AC = builtin_interaction("two-species-ac")
 
 
 def enumerate_transition_pairs(phi, graph):
-    """Oracle edge set built straight from the interaction definition."""
+    """Oracle edge set built straight from the interaction definition: every
+    interaction edge fires at every directed graph edge (x, y)."""
     verts = list(graph.vertices)
     pairs = set()
     for config in itertools.product(range(phi.states.n), repeat=len(verts)):
-        for x, y in graph.unordered_edges():
+        for x, y in sorted(graph.edges):
             ix, iy = verts.index(x), verts.index(y)
             for (a, b), (c, d) in phi.edges:
                 if (config[ix], config[iy]) == (a, b):
@@ -130,6 +137,42 @@ def test_summary_rejects_rank_nullity_violations():
 def test_enumeration_cap():
     with pytest.raises(errors.CapExceededError):
         h0_h1_finite(builtin_interaction("multispecies:3"), path_graph(12))
+
+
+@pytest.mark.parametrize(
+    "name", ["exclusion", "multispecies:2", "multispecies:3", "two-species-ac", "quastel2"]
+)
+@pytest.mark.parametrize("make_graph", [path_graph, cycle_graph], ids=["path", "cycle"])
+def test_h0_eliminates_each_pair_in_at_most_two_steps(monkeypatch, name, make_graph):
+    """Star-ordered columns keep every pivot row {v, root of v}; a return of
+    fill chains shows as more elimination steps or wider pivot rows."""
+    phi, graph = builtin_interaction(name), make_graph(6)
+    steps, reducers, columns = [0], set(), set()
+    eliminate, add = linalg._eliminate, linalg.RowReducer.add
+
+    def counting(*args):
+        steps[0] += 1
+        return eliminate(*args)
+
+    def recording(self, row):
+        reducers.add(self)
+        columns.update(row)
+        return add(self, row)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    monkeypatch.setattr(linalg.RowReducer, "add", recording)
+    s = h0_h1_finite(phi, graph)
+    assert steps[0] <= 2 * s.dim_c1
+    (reducer,) = reducers
+    rows = reducer.pivot_rows
+    assert all(len(row) == 2 for row in rows.values())
+    # non-roots pivot on 0..rank-1; each star row ends in a root column
+    assert set(rows) == set(range(s.rank_d))
+    assert all(s.rank_d <= max(row) < s.dim_c0 for row in rows.values())
+    # the columns fed are range(size) less the isolated configurations
+    codes = ConfigCode(phi, graph)
+    moving = {c for c in range(codes.size) if any(w != c for *_, w in codes.fire(c))}
+    assert len(columns) == len(moving) and columns <= set(range(s.dim_c0))
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +604,22 @@ def test_kernel_certificate_holds_for_generated_interactions(phi, radius):
     base = phi.states.base_index
     report = invariance_kernel(phi, radius, g, base)
     assert reference_probe_check(phi, report, g, base)
+
+
+FINITE_GRAPHS = [
+    path_graph(2), path_graph(3), path_graph(4), cycle_graph(3), cycle_graph(4),
+    explicit_graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(phi=small_interactions(), graph=st.sampled_from(FINITE_GRAPHS))
+def test_finite_summary_matches_oracle_on_generated_interactions(phi, graph):
+    s = h0_h1_finite(phi, graph)
+    want = oracle_summary(phi, graph)
+    assert (s.dim_c0, s.dim_c1, s.rank_d, s.h0, s.h1) == (
+        want["dim_c0"], want["dim_c1"], want["rank"], want["h0"], want["h1"]
+    )
 
 
 def test_certificate_rejects_a_basis_the_probes_accept(monkeypatch):
