@@ -3,11 +3,11 @@
 Rows are sparse ``{column: value}`` maps.  Every constraint system in this
 package has integer rows (incidence rows for ``h0``, ±1 transition rows for
 the invariance kernel, small pair-sum rows for ``consv``), so elimination
-works on integers only.  The public entry points (``RowReducer.add``,
-``echelon``, ``rank``, ``nullspace``, ``rref_basis``) also accept rows with
-``Fraction`` values: each row is scaled there to the primitive integer row
-on the same line (denominators cleared, common factor divided out), which
-spans the same space.
+works on integers only, and ``RowReducer.add`` takes integer rows.
+``echelon`` and the entry points built on it (``rank``, ``nullspace``,
+``rref_basis``) also accept rows with ``Fraction`` values: each row is
+scaled there to the primitive integer row on the same line (denominators
+cleared, common factor divided out), which spans the same space.
 
 Elimination is fraction-free, as in Bareiss (1968) but with gcd
 cancellation in place of exact division.  A remainder with entry ``r`` in
@@ -100,9 +100,10 @@ class RowReducer:
             rem = _eliminate(rem, pivot, col)
         return rem
 
-    def add(self, row: dict[int, int | Fraction]) -> bool:
-        """Insert an ``int`` or ``Fraction`` row; True when it enlarged the span."""
-        rem = self.reduce(_primitive(row))
+    def add(self, row: Row) -> bool:
+        """Insert an integer row; True when it enlarged the span.  The pivot
+        row kept is primitive whatever the row's content."""
+        rem = self.reduce(row)
         if not rem:
             return False
         col = min(rem)
@@ -128,9 +129,11 @@ class RowReducer:
 
 
 def echelon(rows) -> RowReducer:
+    """Reducer holding ``int`` or ``Fraction`` rows, each added as its
+    primitive integer row."""
     reducer = RowReducer()
     for row in rows:
-        reducer.add(row)
+        reducer.add(_primitive(row))
     return reducer
 
 

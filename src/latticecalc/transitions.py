@@ -38,12 +38,10 @@ class Transition:
             raise MismatchError("before-configuration disagrees with the fired edge")
         if (self.after.state_at(x), self.after.state_at(y)) != (c, d):
             raise MismatchError("after-configuration disagrees with the fired edge")
-        moved = {x, y}
-        for site in set(self.before.support()) | set(self.after.support()):
-            if site in moved:
-                continue
-            if self.before.state_at(site) != self.after.state_at(site):
-                raise MismatchError(f"site {site!r} changed away from the fired edge")
+        changed = set(self.before.assignments) ^ set(self.after.assignments)
+        away = {site for site, _ in changed} - {x, y}
+        if away:
+            raise MismatchError(f"site {min(away)!r} changed away from the fired edge")
 
     def to_document(self) -> dict:
         labels = self.before.states.labels

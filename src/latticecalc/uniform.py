@@ -169,11 +169,8 @@ class UniformFunction:
                     raise SchemaError(f"template {key} is not anchored at 0")
                 if _lattice_diameter(key, self.graph.k) > self.radius:
                     raise LocalityError(f"template {key} exceeds radius {self.radius}")
-            else:
-                for site in key:
-                    self.graph.require_vertex(site)
-                if key and diameter_of(self.graph, key) > self.radius:
-                    raise LocalityError(f"support {key} exceeds radius {self.radius}")
+            elif key and diameter_of(self.graph, key) > self.radius:
+                raise LocalityError(f"support {key} exceeds radius {self.radius}")
 
     def component_map(self) -> dict[ComponentKey, ExactSupportFunction]:
         return dict(self.components)
@@ -185,33 +182,44 @@ class UniformFunction:
         return Fraction(0)
 
 
-def _canonical_components(items) -> tuple:
-    out = []
-    for key, comp in items:
-        key = tuple(key)
-        if comp.is_zero():
-            continue
-        out.append((key, comp))
-    out.sort(key=lambda kv: (len(kv[0]), kv[0]))
-    return tuple(out)
-
-
 def _uniform(kind, states, graph, base, radius, components) -> UniformFunction:
+    """The family with zero components dropped, sorted by (size, support)."""
     normalized = []
     for key, comp in components.items():
         if not isinstance(comp, ExactSupportFunction):
             comp = ExactSupportFunction(
                 states=comp.states, support=comp.support, table=comp.table, base_index=base
             )
-        normalized.append((tuple(key), comp))
+        if not comp.is_zero():
+            normalized.append((tuple(key), comp))
+    normalized.sort(key=lambda kv: (len(kv[0]), kv[0]))
     return UniformFunction(
         states=states,
         graph=graph,
         base_index=base,
         radius=radius,
         kind=kind,
-        components=_canonical_components(normalized),
+        components=tuple(normalized),
     )
+
+
+def _summed(states, base, pieces) -> dict[ComponentKey, ExactSupportFunction]:
+    """Exact-support components from (support, table) pieces summed by
+    support; ``_uniform`` drops the ones whose tables cancel."""
+    agg: dict[ComponentKey, list[Fraction]] = {}
+    for key, table in pieces:
+        slot = agg.get(key)
+        if slot is None:
+            agg[key] = list(table)
+        else:
+            for i, v in enumerate(table):
+                slot[i] += v
+    return {
+        key: ExactSupportFunction(
+            states=states, support=key, table=tuple(tab), base_index=base
+        )
+        for key, tab in agg.items()
+    }
 
 
 def explicit_uniform(
@@ -242,31 +250,43 @@ def zero_uniform(
     return explicit_uniform(states, graph, base, radius, {})
 
 
+def _placed(f: UniformFunction, sites):
+    """Yield ``(placement, component)`` for each component of f that meets
+    the set ``sites``: explicit components where they are listed, translated
+    templates at every anchor that puts them on one of ``sites`` and keeps
+    them inside the window.  The constant term meets no site.
+    """
+    if f.kind == EXPLICIT:
+        for key, comp in f.components:
+            if not sites.isdisjoint(key):
+                yield key, comp
+        return
+    a, b = f.graph.window
+    for template, comp in f.components:
+        span = template[-1]
+        for t in sorted({d - s for d in sites for s in template}):
+            # a translate poking out of the window is left out: outside it
+            # every configuration holds the base state, so it vanishes there
+            if a <= t and t + span <= b:
+                yield tuple(s + t for s in template), comp
+
+
 def family_items(f: UniformFunction) -> list[tuple[ComponentKey, ExactSupportFunction]]:
     """The family as explicit (support, component) pairs.
 
     Translated families are materialized over the window: one copy of each
     template for every integer translate that fits inside [a, b].
     """
-    if f.kind == EXPLICIT:
-        return list(f.components)
-    a, b = f.graph.window
-    out = []
-    for template, comp in f.components:
-        span = max(template)
-        for t in range(a, b - span + 1):
-            shifted = tuple(s + t for s in template)
-            out.append(
-                (
-                    shifted,
-                    ExactSupportFunction(
-                        states=comp.states,
-                        support=shifted,
-                        table=comp.table,
-                        base_index=comp.base_index,
-                    ),
-                )
+    out = [(key, comp) for key, comp in f.components if not key]
+    for placed, comp in _placed(f, frozenset(f.graph.vertices)):
+        if placed != comp.support:
+            comp = ExactSupportFunction(
+                states=comp.states,
+                support=placed,
+                table=comp.table,
+                base_index=comp.base_index,
             )
+        out.append((placed, comp))
     out.sort(key=lambda kv: (len(kv[0]), kv[0]))
     return out
 
@@ -302,21 +322,10 @@ def evaluate(f: UniformFunction, eta: Configuration) -> Fraction:
     """
     _require_context(f, eta)
     supp = set(eta.support())
-    total = Fraction(0)
-    if f.kind == EXPLICIT:
-        for key, comp in f.components:
-            if set(key) <= supp:
-                total += comp.value_at(tuple(eta.state_at(s) for s in key))
-        return total
-    a, b = f.graph.window
-    for template, comp in f.components:
-        span = max(template)
-        for t in sorted(supp):
-            if t + span > b or t < a:
-                continue
-            shifted = [s + t for s in template]
-            if all(s in supp for s in shifted):
-                total += comp.value_at(tuple(eta.state_at(s) for s in shifted))
+    total = f.constant_term()
+    for placed, comp in _placed(f, supp):
+        if supp.issuperset(placed):
+            total += comp.value_at(tuple(eta.state_at(s) for s in placed))
     return total
 
 
@@ -329,35 +338,12 @@ def difference(f: UniformFunction, eta: Configuration, eta2: Configuration) -> F
     """
     _require_context(f, eta)
     _require_context(f, eta2)
-    changed = sorted(
-        x
-        for x in set(eta.support()) | set(eta2.support())
-        if eta.state_at(x) != eta2.state_at(x)
-    )
-    if not changed:
-        return Fraction(0)
-    changed_set = set(changed)
+    changed = {site for site, _ in set(eta.assignments) ^ set(eta2.assignments)}
     total = Fraction(0)
-    if f.kind == EXPLICIT:
-        for key, comp in f.components:
-            if key and changed_set & set(key):
-                after = comp.value_at(tuple(eta2.state_at(s) for s in key))
-                before = comp.value_at(tuple(eta.state_at(s) for s in key))
-                total += after - before
-        return total
-    a, b = f.graph.window
-    for template, comp in f.components:
-        span = max(template)
-        anchors = sorted({d - s for d in changed for s in template})
-        for t in anchors:
-            if t < a or t + span > b:
-                # the translate pokes out of the window; both arguments hold
-                # the base state there, so the component vanishes on both
-                continue
-            shifted = [s + t for s in template]
-            after = comp.value_at(tuple(eta2.state_at(s) for s in shifted))
-            before = comp.value_at(tuple(eta.state_at(s) for s in shifted))
-            total += after - before
+    for placed, comp in _placed(f, changed):
+        after = comp.value_at(tuple(eta2.state_at(s) for s in placed))
+        before = comp.value_at(tuple(eta.state_at(s) for s in placed))
+        total += after - before
     return total
 
 
@@ -404,14 +390,14 @@ def sum_of_uniformly_local(
     """
     if not isinstance(radius, int) or radius < 0:
         raise SchemaError("radius must be a nonnegative integer")
-    states = None
-    agg: dict[ComponentKey, list[Fraction]] = {}
-    for x in sorted(system):
+    if not system:
+        raise SchemaError("empty system; pass at least one site function")
+    sites = sorted(system)
+    states = system[sites[0]].states
+    for x in sites:
         fx = system[x]
         graph.require_vertex(x)
-        if states is None:
-            states = fx.states
-        elif fx.states != states:
+        if fx.states != states:
             raise MismatchError("system members disagree on the state space")
         allowed = ball(graph, x, radius)
         if not set(fx.support) <= allowed:
@@ -420,23 +406,10 @@ def sum_of_uniformly_local(
             )
         if fx.value_at((base,) * fx.arity) != 0:
             raise NormalizationError(f"f_{x!r} does not vanish on the all-base tuple")
-        for key, comp in expand(fx, base).items():
-            slot = agg.get(key)
-            if slot is None:
-                agg[key] = list(comp.table)
-            else:
-                for i, v in enumerate(comp.table):
-                    slot[i] += v
-    if states is None:
-        raise SchemaError("empty system; pass at least one site function")
-    comps = {
-        key: ExactSupportFunction(
-            states=states, support=key, table=tuple(tab), base_index=base
-        )
-        for key, tab in agg.items()
-        if any(tab)
-    }
-    return explicit_uniform(states, graph, base, 2 * radius, comps)
+    pieces = (
+        (key, comp.table) for x in sites for key, comp in expand(system[x], base).items()
+    )
+    return explicit_uniform(states, graph, base, 2 * radius, _summed(states, base, pieces))
 
 
 def to_uniformly_local(f: UniformFunction) -> dict[Site, LocalFunction]:
@@ -482,38 +455,24 @@ def rebase(f: UniformFunction, new_base: int) -> UniformFunction:
         raise SchemaError(f"base index {new_base} out of range")
     if new_base == f.base_index:
         return f
-    agg: dict[ComponentKey, list[Fraction]] = {}
+    pieces = []
     for key, comp in f.components:
         if not key:
             continue
-        plain = LocalFunction(states=comp.states, support=key, table=comp.table)
+        plain = LocalFunction(states=f.states, support=key, table=comp.table)
         for sub, piece in expand(plain, new_base).items():
             if not sub:
                 continue
             if f.kind == TRANSLATED:
-                shift = min(sub)
-                sub = tuple(s - shift for s in sub)
-            slot = agg.get(sub)
-            if slot is None:
-                agg[sub] = list(piece.table)
-            else:
-                for i, v in enumerate(piece.table):
-                    slot[i] += v
-    comps = {
-        key: ExactSupportFunction(
-            states=f.states, support=key, table=tuple(tab), base_index=new_base
-        )
-        for key, tab in agg.items()
-        if any(tab)
-    }
-    if f.kind == EXPLICIT:
-        carried = f.constant_term()
-        if carried:
-            comps[()] = ExactSupportFunction(
-                states=f.states, support=(), table=(carried,), base_index=new_base
-            )
-        return explicit_uniform(f.states, f.graph, new_base, f.radius, comps)
-    return translated_uniform(f.states, f.graph, new_base, f.radius, comps)
+                # translated pieces are summed by translation class
+                sub = tuple(s - sub[0] for s in sub)
+            pieces.append((sub, piece.table))
+    comps = _summed(f.states, new_base, pieces)
+    # a zero constant term (always so in a translated family) is dropped
+    comps[()] = ExactSupportFunction(
+        states=f.states, support=(), table=(f.constant_term(),), base_index=new_base
+    )
+    return _uniform(f.kind, f.states, f.graph, new_base, f.radius, comps)
 
 
 # ---------------------------------------------------------------------------

@@ -474,7 +474,7 @@ def reference_exchange_rows(phi, radius, graph, base, probe_bound, uid, by_site)
                     if base not in entry:
                         col = uid[(lam, entry)]
                         row[col] = row.get(col, 0) + sign
-            row = {c: Fraction(v) for c, v in row.items() if v}
+            row = {c: v for c, v in row.items() if v}
             if row:
                 yield row
 

@@ -96,6 +96,43 @@ def test_transition_validation_rejects_mismatched_states():
         )
 
 
+@pytest.mark.parametrize(
+    "after",
+    [
+        configuration(lattice_window(1, -7, 7), EXCLUSION.states, 0, {1: 1}),
+        configuration(G13, MS2.states, 0, {1: 1}),
+        configuration(G13, EXCLUSION.states, 1, {0: 1}),
+    ],
+    ids=["graph", "states", "base"],
+)
+def test_transition_validation_rejects_endpoints_in_different_systems(after):
+    before = configuration(G13, EXCLUSION.states, 0, {0: 1})
+    with pytest.raises(errors.MismatchError, match="different systems"):
+        Transition(before=before, after=after, edge=(0, 1), phi_edge=((1, 0), (0, 1)))
+
+
+def test_transition_validation_rejects_a_before_state_off_the_edge():
+    before = configuration(G13, EXCLUSION.states, 0, {0: 1, 1: 1})
+    after = configuration(G13, EXCLUSION.states, 0, {1: 1})
+    with pytest.raises(errors.MismatchError, match="before-configuration"):
+        Transition(before=before, after=after, edge=(0, 1), phi_edge=((1, 0), (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "before,after,site",
+    [
+        ({0: 1}, {1: 1, 4: 1}, "4"),  # a particle appears away from the edge
+        ({0: 1, -3: 1}, {1: 1}, "-3"),  # one disappears
+        ({0: 1, 5: 1}, {1: 1, 6: 1}, "5"),  # one moves: the smallest site is named
+    ],
+)
+def test_transition_validation_rejects_a_change_away_from_the_edge(before, after, site):
+    before = configuration(G13, EXCLUSION.states, 0, before)
+    after = configuration(G13, EXCLUSION.states, 0, after)
+    with pytest.raises(errors.MismatchError, match=f"site {site} changed away"):
+        Transition(before=before, after=after, edge=(0, 1), phi_edge=((1, 0), (0, 1)))
+
+
 def test_component_size_is_binomial_for_exclusion():
     g = lattice_window(1, -2, 2)
     for count in range(0, 4):
