@@ -33,7 +33,7 @@ from .errors import (
     WindowTooSmallError,
 )
 from .interaction import ConservedQuantity, Interaction
-from .localfn import ExactSupportFunction
+from .localfn import LocalFunction
 from .sitegraph import LATTICE_Z, SiteGraph
 from .transitions import ConfigCode
 from .uniform import (
@@ -219,10 +219,23 @@ def _candidate_supports(graph: SiteGraph, radius: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _inner_window(graph: SiteGraph, radius: int) -> tuple[int, int]:
+    """The sites at least k·R from both ends of the window."""
+    a, b = graph.window
+    reach = graph.k * radius
+    return a + reach, b - reach
+
+
 def _kernel_unknowns(phi: Interaction, radius: int, graph: SiteGraph, base: int):
+    """Unknowns (λ, entry): boundary supports (not inside the inner window)
+    first, so the inner unknowns are one suffix; within each group the order
+    is (size, sites), then entry."""
+    lo, hi = _inner_window(graph, radius)
     nonbase = [s for s in range(phi.states.n) if s != base]
+    supports = _candidate_supports(graph, radius)
+    supports.sort(key=lambda lam: lo <= lam[0] and lam[-1] <= hi)
     unknowns = []
-    for lam in _candidate_supports(graph, radius):
+    for lam in supports:
         for entry in product(nonbase, repeat=len(lam)):
             unknowns.append((lam, entry))
     return unknowns
@@ -259,15 +272,16 @@ def _kernel_rows(
     T ∪ {y} spans at most k·R.  Call such T *admissible*; every subset of
     one is too.  So the row of any configuration, of any size, is a signed
     sum of rows of the admissible patterns P|U, which are themselves
-    configurations, and the kernel is exact over every configuration.  The
-    fired edge is inner, so every admissible site lies in the window.
+    configurations, and the kernel is exact over every configuration.  Such
+    a T is λ∖{x, y} for the candidate λ = T ∪ {x} or T ∪ {y}, which lies in
+    the window since the fired edge is inner, and λ∖{x, y} is admissible for
+    every candidate λ through x or y: the patterns at (x, y) are read off
+    ``by_site[x]`` and ``by_site[y]``.
 
     Patterns come edge by edge in order of (|S|, S), then values: rows of
     small patterns first keep the elimination's fill low.
     """
-    a, b = graph.window
-    reach = graph.k * radius
-    lo, hi = a + reach, b - reach
+    lo, hi = _inner_window(graph, radius)
     states = range(phi.states.n)
     nonbase = [s for s in states if s != base]
 
@@ -289,20 +303,13 @@ def _kernel_rows(
                 row[key] = row.get(key, 0) - 1
         return {c: v for c, v in row.items() if v}
 
-    def admissible(x, y):
-        others = [s for s in range(x - reach, y + reach + 1) if s not in (x, y)]
-        for r in range(len(others) + 1):
-            for sites in combinations(others, r):
-                if not sites or any(
-                    max(sites[-1], z) - min(sites[0], z) <= reach for z in (x, y)
-                ):
-                    yield sites
-
     # single transitions whose fired edge sits in the inner window
     for x, y in graph.unordered_edges():
         if not (lo <= x and y <= hi):
             continue
-        for sites in admissible(x, y):
+        through = (*by_site.get(x, ()), *by_site.get(y, ()))
+        patterns = {tuple(s for s in lam if s != x and s != y) for lam in through}
+        for sites in sorted(patterns, key=lambda sites: (len(sites), sites)):
             for s, t, *values in product(states, states, *[nonbase] * len(sites)):
                 pattern = dict(zip(sites, values))
                 pattern[x], pattern[y] = s, t
@@ -352,6 +359,11 @@ def invariance_kernel(
     reported basis is the canonical basis of the kernel projected onto the
     inner window, certified by ``_certify_basis`` against every constraint
     row.
+
+    Inner unknowns are the columns from ``first`` on.  A pivot row with pivot
+    >= ``first`` involves only them; every other pivot row has its own
+    boundary pivot, so those rows fix boundary unknowns whatever the inner
+    values.  The projection is thus the nullspace of the inner pivot rows.
     """
     if graph.kind != LATTICE_Z:
         raise SchemaError("invariance kernel needs an integer-lattice window")
@@ -372,39 +384,25 @@ def invariance_kernel(
     reducer = linalg.RowReducer()
     for row in _kernel_rows(phi, radius, graph, base, uid, by_site):
         reducer.add(row)
-    kernel_vectors = linalg.nullspace_of(reducer, len(unknowns))
-    margin = graph.k * radius
-    lo, hi = a + margin, b - margin
-    inner_cols = [
-        i for i, (lam, _) in enumerate(unknowns) if lo <= lam[0] and lam[-1] <= hi
-    ]
-    projected = []
-    for vec in kernel_vectors:
-        row = {
-            new: vec[old] for new, old in enumerate(inner_cols) if vec[old]
-        }
-        projected.append(row)
-    basis_vectors = linalg.rref_basis(projected, len(inner_cols))
-    states = phi.states
+    lo, hi = _inner_window(graph, radius)
+    first = sum(lam[0] < lo or lam[-1] > hi for lam, _ in unknowns)
+    inner = linalg.RowReducer()  # echelon already: the rows are shifted, not re-added
+    inner.pivot_rows = {
+        col - first: {c - first: v for c, v in row.items()}
+        for col, row in reducer.pivot_rows.items()
+        if col >= first
+    }
     basis = []
-    for vec in basis_vectors:
-        tables: dict[tuple, list[Fraction]] = {}
-        for new, value in enumerate(vec):
-            if not value:
-                continue
-            lam, entry = unknowns[inner_cols[new]]
-            table = tables.setdefault(lam, [Fraction(0)] * states.n ** len(lam))
-            idx = 0
-            for s in entry:
-                idx = idx * states.n + s
-            table[idx] = value
+    for vec in linalg.nullspace_of(inner, len(unknowns) - first):
+        entries: dict[tuple, dict] = {}
+        for (lam, entry), value in zip(unknowns[first:], vec):
+            if value:
+                entries.setdefault(lam, {})[entry] = value
         comps = {
-            lam: ExactSupportFunction(
-                states=states, support=lam, table=tuple(tab), base_index=base
-            )
-            for lam, tab in tables.items()
+            lam: LocalFunction.from_entries(phi.states, lam, values)
+            for lam, values in entries.items()
         }
-        basis.append(explicit_uniform(states, graph, base, radius, comps))
+        basis.append(explicit_uniform(phi.states, graph, base, radius, comps))
     _certify_basis(basis, uid, reducer)
     return KernelReport(
         window=(a, b),
@@ -413,6 +411,6 @@ def invariance_kernel(
         inner_window=(lo, hi),
         unknown_count=len(unknowns),
         constraint_rank=reducer.rank,
-        dimension=len(basis_vectors),
+        dimension=len(basis),
         basis=tuple(basis),
     )

@@ -101,13 +101,9 @@ class LocalFunction:
     def from_entries(
         cls, states: StateSpace, support, entries: Mapping[Assignment, object]
     ) -> "LocalFunction":
-        """Build from a sparse {assignment: value} map; omitted entries are zero."""
-        supp = _sorted_support(support)
-        table = [Fraction(0)] * states.n ** len(supp)
-        probe = cls.zero(states, supp)
-        for assignment, value in entries.items():
-            table[probe.index_of(tuple(assignment))] = ensure_fraction(value)
-        return cls(states=states, support=supp, table=tuple(table))
+        """Build from a sparse {assignment: value} map; omitted entries are
+        zero.  Each table slot looks up its own assignment."""
+        return cls.from_function(states, support, lambda a: entries.get(a, 0))
 
     @classmethod
     def zero(cls, states: StateSpace, support=()) -> "LocalFunction":

@@ -3,9 +3,9 @@
 Four kinds are supported.  ``explicit`` graphs list their vertices and edges
 outright; ``path`` and ``cycle`` are finite integer graphs; ``lattice_z`` is a
 finite window [a, b] of the integer lattice whose edges join sites at distance
-at most k.  A lattice window carries ``is_window_of_infinite=True`` to record
-that it is a truncated view of an unbounded graph, which matters to operations
-that reason about translation-invariant families.
+at most k.  A lattice window reports ``is_window_of_infinite`` to record that
+it is a truncated view of an unbounded graph, which matters to operations that
+reason about translation-invariant families.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class SiteGraph:
     edges: frozenset[tuple[Site, Site]]
     k: int | None = None
     window: tuple[int, int] | None = None
-    is_window_of_infinite: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -61,6 +60,10 @@ class SiteGraph:
             if (y, x) not in self.edges:
                 raise AsymmetricEdgesError(f"missing reverse of edge ({x!r}, {y!r})")
         self._check_connected()
+
+    @property
+    def is_window_of_infinite(self) -> bool:
+        return self.kind == LATTICE_Z
 
     def _check_connected(self) -> None:
         if len(dict(self._parents(self.vertices[0]))) != len(self.vertices):
@@ -128,8 +131,8 @@ def explicit_graph(vertices, edges, symmetry: str = "lenient") -> SiteGraph:
 
 
 def path_graph(n: int) -> SiteGraph:
-    if n < 1:
-        raise SchemaError("path graph needs n >= 1")
+    if type(n) is not int or n < 1:
+        raise SchemaError(f"path graph needs an integer n >= 1, got {n!r}")
     edges = set()
     for i in range(n - 1):
         edges |= {(i, i + 1), (i + 1, i)}
@@ -137,8 +140,8 @@ def path_graph(n: int) -> SiteGraph:
 
 
 def cycle_graph(n: int) -> SiteGraph:
-    if n < 3:
-        raise SchemaError("cycle graph needs n >= 3")
+    if type(n) is not int or n < 3:
+        raise SchemaError(f"cycle graph needs an integer n >= 3, got {n!r}")
     edges = set()
     for i in range(n):
         j = (i + 1) % n
@@ -148,10 +151,10 @@ def cycle_graph(n: int) -> SiteGraph:
 
 def lattice_window(k: int, a: int, b: int) -> SiteGraph:
     """Window [a, b] of the integer lattice with edges 1 <= |i - j| <= k."""
-    if k < 1:
-        raise SchemaError("lattice range k must be >= 1")
-    if a > b:
-        raise SchemaError(f"empty window [{a}, {b}]")
+    if type(k) is not int or k < 1:
+        raise SchemaError(f"lattice range k must be an integer >= 1, got {k!r}")
+    if type(a) is not int or type(b) is not int or a > b:
+        raise SchemaError(f"window [{a!r}, {b!r}] is not a nonempty integer range")
     edges = set()
     for i in range(a, b + 1):
         for d in range(1, k + 1):
@@ -163,7 +166,6 @@ def lattice_window(k: int, a: int, b: int) -> SiteGraph:
         edges=frozenset(edges),
         k=k,
         window=(a, b),
-        is_window_of_infinite=True,
     )
 
 
@@ -226,13 +228,13 @@ def load_graph(doc: dict) -> SiteGraph:
     if kind == LATTICE_Z:
         try:
             a, b = doc["window"]
-            return lattice_window(int(doc.get("k", 1)), int(a), int(b))
+            return lattice_window(doc.get("k", 1), a, b)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad lattice document: {exc}") from exc
     if kind == PATH:
-        return path_graph(int(doc.get("n", 0)))
+        return path_graph(doc.get("n", 0))
     if kind == CYCLE:
-        return cycle_graph(int(doc.get("n", 0)))
+        return cycle_graph(doc.get("n", 0))
     if kind == EXPLICIT:
         try:
             vertices = list(doc["vertices"])

@@ -569,7 +569,7 @@ def load_uniform(doc: dict, states: StateSpace, graph: SiteGraph) -> UniformFunc
     base = states.index(doc["base"])
     kind = doc.get("kind", TRANSLATED if "template" in doc else EXPLICIT)
     radius = doc.get("radius", 0)
-    if not isinstance(radius, int) or radius < 0:
+    if type(radius) is not int or radius < 0:
         raise SchemaError("'radius' must be a nonnegative integer")
     if kind == EXPLICIT:
         comps = load_component_list(doc.get("components", []), states, base)

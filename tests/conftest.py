@@ -99,9 +99,10 @@ def random_configuration(rng: random.Random, graph, states, base, max_occupied=4
 
 
 def add_pair_component_to_kernel_basis(monkeypatch, graph, pair):
-    """Make the kernel's projection step (``linalg.rref_basis`` over the inner
-    columns) add 1 at entry (1, 1) of the exclusion component on ``pair`` to
-    the first basis vector of an R=1 exclusion kernel on ``graph``."""
+    """Make the kernel's basis step (``linalg.rref_basis`` over the inner
+    columns, called by ``linalg.nullspace_of`` on the inner pivot rows) add 1
+    at entry (1, 1) of the exclusion component on ``pair`` to the first basis
+    vector of an R=1 exclusion kernel on ``graph``."""
     (a, b), original = graph.window, linalg.rref_basis
     inner = [
         key

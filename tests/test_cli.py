@@ -375,6 +375,17 @@ def test_explicit_graph_with_mixed_vertex_types_is_a_schema_error(capsys, tmp_pa
     assert json.loads(err)["error"]["code"] == "schema"
 
 
+@pytest.mark.parametrize("n", ["abc", 4.9], ids=["str", "float"])
+def test_graph_document_with_a_non_integer_size_is_a_schema_error(capsys, tmp_path, n):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"kind": "path", "n": n}))
+    code, out, err = run(
+        capsys, "h0", "--interaction", "exclusion", "--graph", str(path)
+    )
+    assert code == 1 and not out
+    assert json.loads(err)["error"]["code"] == "schema"
+
+
 def test_table_format_renders_text(capsys):
     code, out, _ = run(
         capsys, "h0", "--interaction", "exclusion", "--graph", "path:3",

@@ -22,6 +22,7 @@ from latticecalc.cohomology import (
     NOT_CONSERVED_PAIR,
     UNEQUAL_SINGLE_SITE,
     CochainSpaceSummary,
+    KernelReport,
     _candidate_supports,
     _kernel_index,
     _kernel_rows,
@@ -691,3 +692,179 @@ def test_admissible_rows_span_every_configuration_for_generated_interactions(phi
     assert_admissible_rows_span_every_configuration(
         phi, radius, smallest_window(k, radius), phi.states.base_index
     )
+
+
+# ---------------------------------------------------------------------------
+# the kernel against its former routes: the nullspace over every unknown
+# projected onto the inner window, and the nested pattern generator
+
+
+def former_unknowns(phi, radius, graph, base):
+    """Unknowns in (size, sites), then entry order: boundary and inner
+    supports interleaved, as the kernel numbered them before."""
+    nonbase = [s for s in range(phi.states.n) if s != base]
+    return [
+        (lam, entry)
+        for lam in _candidate_supports(graph, radius)
+        for entry in itertools.product(nonbase, repeat=len(lam))
+    ]
+
+
+def reference_admissible(x, y, reach):
+    """Sites S outside {x, y} with S ∪ {x} or S ∪ {y} spanning at most
+    ``reach``, in order of (|S|, S): the generator ``_kernel_rows`` nested
+    before it read the patterns off the candidate supports."""
+    others = [s for s in range(x - reach, y + reach + 1) if s not in (x, y)]
+    for r in range(len(others) + 1):
+        for sites in itertools.combinations(others, r):
+            if not sites or any(
+                max(sites[-1], z) - min(sites[0], z) <= reach for z in (x, y)
+            ):
+                yield sites
+
+
+def reference_admissible_rows(phi, radius, graph, base, uid, by_site):
+    """``_kernel_rows`` as it was, with patterns from ``reference_admissible``."""
+    a, b = graph.window
+    reach = graph.k * radius
+    lo, hi = a + reach, b - reach
+    states = range(phi.states.n)
+    nonbase = [s for s in states if s != base]
+
+    def row_for(before, after, delta):
+        row = {}
+        lams = set()
+        for d in delta:
+            lams.update(by_site.get(d, ()))
+        for lam in lams:
+            be = tuple(before.get(s, base) for s in lam)
+            af = tuple(after.get(s, base) for s in lam)
+            if be == af:
+                continue
+            if base not in af:
+                key = uid[(lam, af)]
+                row[key] = row.get(key, 0) + 1
+            if base not in be:
+                key = uid[(lam, be)]
+                row[key] = row.get(key, 0) - 1
+        return {c: v for c, v in row.items() if v}
+
+    for x, y in graph.unordered_edges():
+        if not (lo <= x and y <= hi):
+            continue
+        for sites in reference_admissible(x, y, reach):
+            for s, t, *values in itertools.product(states, states, *[nonbase] * len(sites)):
+                pattern = dict(zip(sites, values))
+                pattern[x], pattern[y] = s, t
+                for _, _, (c, d) in phi.edge_moves[(s, t)]:
+                    if (c, d) == (s, t):
+                        continue
+                    after = {**pattern, x: c, y: d}
+                    delta = [site for site, old, new in ((x, s, c), (y, t, d)) if old != new]
+                    row = row_for(pattern, after, delta)
+                    if row:
+                        yield row
+
+
+def reference_projected_basis(phi, radius, graph, base):
+    """The kernel report by the former route: the former column order, the
+    canonical nullspace over every unknown, its dense projection onto the
+    inner columns, a second ``rref_basis``, and tables filled by mixed radix."""
+    unknowns = former_unknowns(phi, radius, graph, base)
+    uid, by_site = _kernel_index(unknowns)
+    reducer = linalg.RowReducer()
+    for row in reference_admissible_rows(phi, radius, graph, base, uid, by_site):
+        reducer.add(row)
+    kernel_vectors = linalg.nullspace_of(reducer, len(unknowns))
+    a, b = graph.window
+    margin = graph.k * radius
+    lo, hi = a + margin, b - margin
+    inner_cols = [
+        i for i, (lam, _) in enumerate(unknowns) if lo <= lam[0] and lam[-1] <= hi
+    ]
+    projected = [
+        {new: vec[old] for new, old in enumerate(inner_cols) if vec[old]}
+        for vec in kernel_vectors
+    ]
+    basis_vectors = linalg.rref_basis(projected, len(inner_cols))
+    states = phi.states
+    basis = []
+    for vec in basis_vectors:
+        tables = {}
+        for new, value in enumerate(vec):
+            if not value:
+                continue
+            lam, entry = unknowns[inner_cols[new]]
+            table = tables.setdefault(lam, [Fraction(0)] * states.n ** len(lam))
+            idx = 0
+            for s in entry:
+                idx = idx * states.n + s
+            table[idx] = value
+        comps = {
+            lam: ExactSupportFunction(
+                states=states, support=lam, table=tuple(tab), base_index=base
+            )
+            for lam, tab in tables.items()
+        }
+        basis.append(explicit_uniform(states, graph, base, radius, comps))
+    return KernelReport(
+        window=(a, b),
+        k=graph.k,
+        radius=radius,
+        inner_window=(lo, hi),
+        unknown_count=len(unknowns),
+        constraint_rank=reducer.rank,
+        dimension=len(basis_vectors),
+        basis=tuple(basis),
+    )
+
+
+def assert_kernel_matches_the_former_routes(phi, radius, graph, base):
+    unknowns = _kernel_unknowns(phi, radius, graph, base)
+    rows = _kernel_rows(phi, radius, graph, base, *_kernel_index(unknowns))
+    former = former_unknowns(phi, radius, graph, base)
+    former_rows = reference_admissible_rows(
+        phi, radius, graph, base, *_kernel_index(former)
+    )
+    assert [{unknowns[c]: v for c, v in row.items()} for row in rows] == [
+        {former[c]: v for c, v in row.items()} for row in former_rows
+    ]
+    report = invariance_kernel(phi, radius, graph, base)
+    assert report == reference_projected_basis(phi, radius, graph, base)
+    return report
+
+
+ROUTE_CASES = [
+    (name, k, radius)
+    for name in ["exclusion", "multispecies:2", "multispecies:3", "two-species-ac",
+                 "quastel2"]
+    for k, radius in [(1, 0), (1, 1), (1, 2), (2, 1)]
+]
+
+
+@pytest.mark.parametrize(
+    "name,k,radius", ROUTE_CASES, ids=[f"{n}-k{k}r{r}" for n, k, r in ROUTE_CASES]
+)
+def test_kernel_matches_the_former_routes(name, k, radius):
+    phi = builtin_interaction(name)
+    for base in range(phi.states.n):
+        assert_kernel_matches_the_former_routes(
+            phi, radius, smallest_window(k, radius), base
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(phi=small_interactions(), k=st.integers(1, 2), radius=st.integers(0, 1))
+def test_kernel_matches_the_former_routes_for_generated_interactions(phi, k, radius):
+    assert_kernel_matches_the_former_routes(
+        phi, radius, smallest_window(k, radius), phi.states.base_index
+    )
+
+
+def test_one_state_interaction_has_an_empty_kernel():
+    """No non-base state, so no unknown, no candidate support through any
+    site, and no pattern to fire."""
+    phi = make_interaction(state_space(["0"], "0"), [((0, 0), (0, 0))])
+    report = assert_kernel_matches_the_former_routes(phi, 1, lattice_window(1, -5, 5), 0)
+    assert (report.unknown_count, report.constraint_rank, report.dimension) == (0, 0, 0)
+    assert report.basis == ()

@@ -171,6 +171,29 @@ def test_load_graph_rejects_malformed_documents():
         load_graph({"kind": "lattice_z", "k": 1, "window": [3]})
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "path", "n": "abc"},
+        {"kind": "path", "n": 4.9},
+        {"kind": "path", "n": True},
+        {"kind": "cycle", "n": "5"},
+        {"kind": "lattice_z", "k": 1.5, "window": [-4, 4]},
+        {"kind": "lattice_z", "k": True, "window": [-4, 4]},
+        {"kind": "lattice_z", "k": 1, "window": [-4.7, 4]},
+        {"kind": "lattice_z", "k": 1, "window": [-4, "4"]},
+        {"kind": "lattice_z", "k": 1, "window": [False, 4]},
+        {"kind": "lattice_z", "k": 1, "window": [-4, True]},
+    ],
+    ids=["n-str", "n-float", "n-bool", "cycle-n-str", "k-float", "k-bool",
+         "bound-float", "bound-str", "bound-bool", "upper-bound-bool"],
+)
+def test_integer_graph_fields_must_be_integers(doc):
+    """A float is not truncated, a string not parsed, a boolean not 0 or 1."""
+    with pytest.raises(errors.SchemaError):
+        load_graph(doc)
+
+
 def reference_shortest_path(graph, x, y):
     """The breadth-first search transitions used to keep for swap paths."""
     if x == y:

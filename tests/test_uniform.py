@@ -240,6 +240,16 @@ def test_document_support_must_be_sorted():
         load_uniform(doc, ST, G)
 
 
+@pytest.mark.parametrize("radius", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_uniform_document_radius_must_be_an_integer(radius):
+    doc = {
+        "kind": "explicit", "base": "0", "radius": radius,
+        "components": [{"support": [0], "table": {"1": "1"}}],
+    }
+    with pytest.raises(errors.SchemaError):
+        load_uniform(doc, ST, G)
+
+
 def test_configuration_document_roundtrip():
     eta = configuration(G, ST, 1, {-3: 0, 2: 2})
     doc = configuration_to_document(eta)
