@@ -54,6 +54,7 @@ from .transitions import (
     is_invariant,
     neighbors,
     swap_path,
+    transition_document,
     transition_from_document,
 )
 from .uniform import (
@@ -239,14 +240,11 @@ def cmd_exchangeable(args) -> int:
         realized = True
         for a in range(phi.states.n):
             for b in range(phi.states.n):
-                path = pair_exchange_path(phi, a, b)
                 cur = (a, b)
-                for (p, q), (r, s) in path:
-                    if cur != (p, q):
-                        realized = False
-                    cur = (r, s)
-                if cur != (b, a):
-                    realized = False
+                for src, dst in pair_exchange_path(phi, a, b):
+                    realized &= cur == src
+                    cur = dst
+                realized &= cur == (b, a)
         verification.append(("pair-path-realized", "pass" if realized else "fail"))
     outputs = {"exchangeable": answer}
     params = {"interaction": args.interaction}
@@ -329,14 +327,15 @@ def cmd_component(args) -> int:
     graph = _graph_arg(args.graph, inputs)
     eta = _config_file(args.config, phi.states, graph, inputs, "config")
     result = component_bfs(phi, eta, max_states=args.max_states)
-    docs = [tr.to_document() for tr in result.discovery]
+    labels, steps = phi.states.labels, result.steps
+    docs = [transition_document(edge, phi_edge, labels) for _, edge, phi_edge, _ in steps]
     ok = all(
-        transition_from_document(doc, phi, tr.before).after == tr.after
-        for doc, tr in zip(docs, result.discovery)
+        result.codes.replay(doc, before) == after
+        for doc, (before, _, _, after) in zip(docs, steps)
     )
     verification = [("round-trip", "pass" if ok else "fail")]
     outputs = {
-        "size": len(result.configurations),
+        "size": len(result.visited),
         "transitions": len(docs),
         "truncated": result.truncated,
     }
@@ -487,69 +486,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, *required):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--out", help="write the report to this file instead of stdout")
         p.set_defaults(func=handler)
+        for flag in required:
+            p.add_argument(flag, required=True)
         return p
 
-    p = add("consv", cmd_consv, "basis of conserved quantities")
-    p.add_argument("--interaction", required=True)
+    p = add("consv", cmd_consv, "basis of conserved quantities", "--interaction")
     p.add_argument("--base", help="base state label (defaults to the declared one)")
 
-    p = add("exchangeable", cmd_exchangeable, "decide exchangeability")
-    p.add_argument("--interaction", required=True)
+    add("exchangeable", cmd_exchangeable, "decide exchangeability", "--interaction")
 
-    p = add("expand", cmd_expand, "exact-support components of a local function")
-    p.add_argument("--function", required=True)
+    p = add("expand", cmd_expand, "exact-support components of a local function",
+            "--function")
     p.add_argument("--base")
 
-    p = add("rebase", cmd_rebase, "rewrite a uniform function over a new base state")
-    p.add_argument("--function", required=True)
-    p.add_argument("--base", required=True)
+    p = add("rebase", cmd_rebase, "rewrite a uniform function over a new base state",
+            "--function", "--base")
     p.add_argument("--graph")
 
-    p = add("diff", cmd_diff, "difference of a uniform function along two configurations")
-    p.add_argument("--function", required=True)
+    p = add("diff", cmd_diff, "difference of a uniform function along two configurations",
+            "--function")
     p.add_argument("--from", dest="from_config", required=True)
     p.add_argument("--to", dest="to_config", required=True)
     p.add_argument("--graph")
 
-    p = add("neighbors", cmd_neighbors, "single transitions out of a configuration")
-    p.add_argument("--interaction", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--config", required=True)
+    system = ("--interaction", "--graph", "--config")
+    add("neighbors", cmd_neighbors, "single transitions out of a configuration", *system)
 
-    p = add("component", cmd_component, "breadth-first reachable component")
-    p.add_argument("--interaction", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--config", required=True)
+    p = add("component", cmd_component, "breadth-first reachable component", *system)
     p.add_argument("--max-states", type=int)
 
-    p = add("swap-path", cmd_swap_path, "transition sequence exchanging two sites")
-    p.add_argument("--interaction", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--config", required=True)
+    p = add("swap-path", cmd_swap_path, "transition sequence exchanging two sites", *system)
     p.add_argument("--sites", nargs=2, required=True, metavar=("X", "Y"))
 
-    p = add("invariant", cmd_invariant, "probe a uniform function for invariance")
-    p.add_argument("--function", required=True)
-    p.add_argument("--interaction", required=True)
+    p = add("invariant", cmd_invariant, "probe a uniform function for invariance",
+            "--function", "--interaction")
     p.add_argument("--graph")
     p.add_argument("--probe", action="append", help="configuration file; repeatable")
 
-    p = add("h0", cmd_h0, "exact cochain dimensions of a finite system")
-    p.add_argument("--interaction", required=True)
-    p.add_argument("--graph", required=True)
+    add("h0", cmd_h0, "exact cochain dimensions of a finite system",
+        "--interaction", "--graph")
 
-    p = add("extract", cmd_extract, "decide if a uniform function is a conserved sum")
-    p.add_argument("--function", required=True)
-    p.add_argument("--interaction", required=True)
+    p = add("extract", cmd_extract, "decide if a uniform function is a conserved sum",
+            "--function", "--interaction")
     p.add_argument("--graph")
 
-    p = add("kernel", cmd_kernel, "invariance kernel over a lattice window")
-    p.add_argument("--interaction", required=True)
+    p = add("kernel", cmd_kernel, "invariance kernel over a lattice window",
+            "--interaction")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--window", help="a:b window bounds (use --window=-6:6 form)")
     p.add_argument("--k", type=int, default=1, help="interaction range for --window")

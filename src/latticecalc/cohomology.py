@@ -367,7 +367,7 @@ def invariance_kernel(
     """
     if graph.kind != LATTICE_Z:
         raise SchemaError("invariance kernel needs an integer-lattice window")
-    if not isinstance(radius, int) or radius < 0:
+    if type(radius) is not int or radius < 0:
         raise SchemaError("radius must be a nonnegative integer")
     if not 0 <= base < phi.states.n:
         raise SchemaError(f"base index {base} out of range")

@@ -188,12 +188,7 @@ class PairComponents:
         return self.component_id[a * self.n_states + b]
 
     def members(self, cid: int) -> list[PairIdx]:
-        n = self.n_states
-        return [
-            (i // n, i % n)
-            for i, c in enumerate(self.component_id)
-            if c == cid
-        ]
+        return [divmod(i, self.n_states) for i, c in enumerate(self.component_id) if c == cid]
 
 
 def pair_components(phi: Interaction) -> PairComponents:

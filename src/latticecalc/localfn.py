@@ -102,7 +102,13 @@ class LocalFunction:
         cls, states: StateSpace, support, entries: Mapping[Assignment, object]
     ) -> "LocalFunction":
         """Build from a sparse {assignment: value} map; omitted entries are
-        zero.  Each table slot looks up its own assignment."""
+        zero.  Each table slot looks up its own assignment, so a key that is
+        not an assignment of the support is refused rather than dropped."""
+        arity = len(_sorted_support(support))
+        for key in entries:
+            if not (isinstance(key, tuple) and len(key) == arity and all(
+                    type(s) is int and 0 <= s < states.n for s in key)):
+                raise SchemaError(f"{key!r} is not an assignment of {arity} sites")
         return cls.from_function(states, support, lambda a: entries.get(a, 0))
 
     @classmethod

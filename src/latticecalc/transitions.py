@@ -8,14 +8,20 @@ does the probe-based invariance check for uniform functions.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import caps
 from .errors import MismatchError, SchemaError, UnknownVertexError
-from .interaction import Interaction, PhiEdge, pair_exchange_path
+from .interaction import Interaction, PhiEdge, StateSpace, pair_exchange_path
 from .sitegraph import Site, SiteGraph, shortest_path
-from .uniform import Configuration, UniformFunction, difference
+from .uniform import Configuration, UniformFunction, configuration, difference
+
+
+def transition_document(edge: tuple[Site, Site], phi_edge: PhiEdge, labels) -> dict:
+    """The JSON form of a move: the ordered edge and the state labels."""
+    (a, b), (c, d) = phi_edge
+    return {"edge": list(edge), "from": [labels[a], labels[b]], "to": [labels[c], labels[d]]}
 
 
 @dataclass(frozen=True)
@@ -44,13 +50,7 @@ class Transition:
             raise MismatchError(f"site {min(away)!r} changed away from the fired edge")
 
     def to_document(self) -> dict:
-        labels = self.before.states.labels
-        (a, b), (c, d) = self.phi_edge
-        return {
-            "edge": list(self.edge),
-            "from": [labels[a], labels[b]],
-            "to": [labels[c], labels[d]],
-        }
+        return transition_document(self.edge, self.phi_edge, self.before.states.labels)
 
 
 def _transition(eta: Configuration, edge: tuple[Site, Site], phi_edge: PhiEdge):
@@ -61,13 +61,39 @@ def _transition(eta: Configuration, edge: tuple[Site, Site], phi_edge: PhiEdge):
     )
 
 
+def _read_move(doc, phi: Interaction, graph: SiteGraph, states: StateSpace, state_at):
+    """The ordered edge and interaction edge a transition document names,
+    checked against the graph, the interaction and the source states
+    ``state_at(site)``.  Every replay of a document goes through here."""
+    if not isinstance(doc, dict):
+        raise SchemaError("transition document must be an object")
+    try:
+        (x, y), from_labels, to_labels = doc["edge"], doc["from"], doc["to"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"transition document needs edge/from/to: {exc}") from exc
+    x, y = graph.parse_site(x), graph.parse_site(y)
+    phi_edge = (
+        (states.index(from_labels[0]), states.index(from_labels[1])),
+        (states.index(to_labels[0]), states.index(to_labels[1])),
+    )
+    if (x, y) not in graph.edges:
+        raise UnknownVertexError(f"({x!r}, {y!r}) is not a graph edge")
+    if phi_edge not in phi.edges:
+        raise MismatchError("the transition's move is not an interaction edge")
+    if (state_at(x), state_at(y)) != phi_edge[0]:
+        raise MismatchError(
+            f"configuration does not match the transition source at edge ({x}, {y})"
+        )
+    return (x, y), phi_edge
+
+
 class ConfigCode:
     """Configurations of a finite graph as mixed-radix integers ``range(size)``:
     one base-n digit per vertex, the first of ``graph.vertices`` most significant."""
 
     def __init__(self, phi: Interaction, graph: SiteGraph) -> None:
         n, m = phi.states.n, len(graph.vertices)
-        self.phi = phi
+        self.phi, self.graph = phi, graph
         self.size = n**m
         self.place = {x: n ** (m - 1 - i) for i, x in enumerate(graph.vertices)}
         self._edges = [
@@ -76,6 +102,11 @@ class ConfigCode:
 
     def encode(self, eta: Configuration) -> int:
         return sum(eta.state_at(x) * p for x, p in self.place.items())
+
+    def decode(self, code: int, base: int) -> Configuration:
+        n = self.phi.states.n
+        digits = {x: code // p % n for x, p in self.place.items()}
+        return configuration(self.graph, self.phi.states, base, digits)
 
     def fire(self, code: int):
         """Yield ``(edge, interaction edge, code after)`` for every move out of
@@ -86,6 +117,15 @@ class ConfigCode:
             for flipped, phi_edge, (c, d) in moves[(s, t)]:
                 edge = (y, x) if flipped else (x, y)
                 yield edge, phi_edge, code + (c - s) * px + (d - t) * py
+
+    def replay(self, doc, code: int) -> int:
+        """The code after the move ``doc`` names, fired from ``code``; the
+        document is checked as ``transition_from_document`` checks it."""
+        n, place = self.phi.states.n, self.place
+        (x, y), ((a, b), (c, d)) = _read_move(
+            doc, self.phi, self.graph, self.phi.states, lambda s: code // place[s] % n
+        )
+        return code + (c - a) * place[x] + (d - b) * place[y]
 
 
 def neighbors(phi: Interaction, eta: Configuration) -> list[Transition]:
@@ -102,11 +142,34 @@ def neighbors(phi: Interaction, eta: Configuration) -> list[Transition]:
 
 @dataclass(frozen=True)
 class ComponentResult:
-    """Reachable component of a configuration; truncation is an outcome."""
+    """Reachable component of a configuration; truncation is an outcome.
 
-    configurations: frozenset[Configuration]
+    ``visited`` lists the ``ConfigCode`` integers in discovery order and
+    ``steps`` each discovery as (code before, edge, interaction edge, code
+    after).  ``configurations`` and ``discovery`` decode them on first use.
+    """
+
+    codes: ConfigCode
+    base_index: int
+    visited: tuple[int, ...]
+    steps: tuple[tuple[int, tuple[Site, Site], PhiEdge, int], ...]
     truncated: bool
-    discovery: tuple[Transition, ...]
+
+    @cached_property
+    def _decoded(self) -> dict[int, Configuration]:
+        return {code: self.codes.decode(code, self.base_index) for code in self.visited}
+
+    @cached_property
+    def configurations(self) -> frozenset[Configuration]:
+        return frozenset(self._decoded.values())
+
+    @cached_property
+    def discovery(self) -> tuple[Transition, ...]:
+        eta = self._decoded
+        return tuple(
+            Transition(before=eta[u], after=eta[w], edge=edge, phi_edge=phi_edge)
+            for u, edge, phi_edge, w in self.steps
+        )
 
 
 def component_bfs(
@@ -114,10 +177,10 @@ def component_bfs(
 ) -> ComponentResult:
     """Breadth-first enumeration of every configuration reachable from ``eta``.
 
-    The search runs over ``ConfigCode`` integers and builds a ``Transition``
-    only for each discovery edge.  Stops after ``max_states`` visited
-    configurations (default from caps, at least 1) and reports
-    ``truncated=True`` rather than raising.
+    The search runs over ``ConfigCode`` integers and builds no configuration
+    or transition.  Stops after ``max_states`` visited configurations
+    (default from caps, at least 1) and reports ``truncated=True`` rather
+    than raising.
     """
     if eta.states != phi.states:
         raise MismatchError("configuration built over a different state space")
@@ -127,28 +190,21 @@ def component_bfs(
         raise SchemaError(f"max_states must be at least 1, got {max_states}")
     codes = ConfigCode(phi, eta.graph)
     start = codes.encode(eta)
-    found = {start: eta}
-    queue = deque([start])
-    discovery: list[Transition] = []
+    visited, seen, steps = [start], {start}, []
     truncated = False
-    while queue:
-        cur = queue.popleft()
+    for cur in visited:  # the loop reaches every code appended below
         for edge, phi_edge, nxt in codes.fire(cur):
-            if nxt in found:
+            if nxt in seen:
                 continue
-            if len(found) >= max_states:
+            if len(visited) >= max_states:
                 truncated = True
-                queue.clear()
                 break
-            tr = _transition(found[cur], edge, phi_edge)
-            found[nxt] = tr.after
-            discovery.append(tr)
-            queue.append(nxt)
-    return ComponentResult(
-        configurations=frozenset(found.values()),
-        truncated=truncated,
-        discovery=tuple(discovery),
-    )
+            seen.add(nxt)
+            visited.append(nxt)
+            steps.append((cur, edge, phi_edge, nxt))
+        if truncated:
+            break
+    return ComponentResult(codes, eta.base_index, tuple(visited), tuple(steps), truncated)
 
 
 def swap_path(
@@ -196,16 +252,11 @@ def permutation_path(
     swaps: list[tuple[Site, Site]] = []
     seen: set[Site] = set()
     for start in sorted(domain):
-        if start in seen or sigma[start] == start:
-            seen.add(start)
-            continue
-        cycle = [start]
-        seen.add(start)
-        nxt = sigma[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen.add(nxt)
-            nxt = sigma[nxt]
+        cycle, x = [], start
+        while x not in seen:  # empty for a site of an earlier cycle
+            seen.add(x)
+            cycle.append(x)
+            x = sigma[x]
         swaps.extend(zip(cycle, cycle[1:]))
     out: list[Transition] = []
     cur = eta
@@ -239,20 +290,15 @@ def is_invariant(
 ) -> InvarianceCheck:
     """Check that f does not change along any transition out of the probes."""
     probes = list(state_probe)
-    checked = 0
-    for eta in probes:
-        for tr in neighbors(phi, eta):
-            checked += 1
-            if difference(f, tr.before, tr.after) != 0:
-                return InvarianceCheck(
-                    invariant=False,
-                    witness=tr,
-                    probes_checked=len(probes),
-                    transitions_checked=checked,
-                )
+    checked, witness = 0, None
+    for tr in (tr for eta in probes for tr in neighbors(phi, eta)):
+        checked += 1
+        if difference(f, tr.before, tr.after) != 0:
+            witness = tr
+            break
     return InvarianceCheck(
-        invariant=True,
-        witness=None,
+        invariant=witness is None,
+        witness=witness,
         probes_checked=len(probes),
         transitions_checked=checked,
     )
@@ -262,26 +308,5 @@ def transition_from_document(
     doc: dict, phi: Interaction, eta: Configuration
 ) -> Transition:
     """Replay a serialized transition against the configuration it fires from."""
-    if not isinstance(doc, dict):
-        raise SchemaError("transition document must be an object")
-    try:
-        x, y = doc["edge"]
-        from_labels = doc["from"]
-        to_labels = doc["to"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"transition document needs edge/from/to: {exc}") from exc
-    states = eta.states
-    x, y = eta.graph.parse_site(x), eta.graph.parse_site(y)
-    phi_edge = (
-        (states.index(from_labels[0]), states.index(from_labels[1])),
-        (states.index(to_labels[0]), states.index(to_labels[1])),
-    )
-    if (x, y) not in eta.graph.edges:
-        raise UnknownVertexError(f"({x!r}, {y!r}) is not a graph edge")
-    if phi_edge not in phi.edges:
-        raise MismatchError("the transition's move is not an interaction edge")
-    if (eta.state_at(x), eta.state_at(y)) != phi_edge[0]:
-        raise MismatchError(
-            f"configuration does not match the transition source at edge ({x}, {y})"
-        )
-    return _transition(eta, (x, y), phi_edge)
+    edge, phi_edge = _read_move(doc, phi, eta.graph, eta.states, eta.state_at)
+    return _transition(eta, edge, phi_edge)

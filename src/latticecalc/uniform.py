@@ -18,7 +18,7 @@ lattices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -140,7 +140,7 @@ class UniformFunction:
     def __post_init__(self) -> None:
         if self.kind not in (EXPLICIT, TRANSLATED):
             raise SchemaError(f"unknown uniform-function kind {self.kind!r}")
-        if not isinstance(self.radius, int) or self.radius < 0:
+        if type(self.radius) is not int or self.radius < 0:
             raise SchemaError("radius must be a nonnegative integer")
         if not 0 <= self.base_index < self.states.n:
             raise SchemaError(f"base index {self.base_index} out of range")
@@ -279,14 +279,7 @@ def family_items(f: UniformFunction) -> list[tuple[ComponentKey, ExactSupportFun
     """
     out = [(key, comp) for key, comp in f.components if not key]
     for placed, comp in _placed(f, frozenset(f.graph.vertices)):
-        if placed != comp.support:
-            comp = ExactSupportFunction(
-                states=comp.states,
-                support=placed,
-                table=comp.table,
-                base_index=comp.base_index,
-            )
-        out.append((placed, comp))
+        out.append((placed, comp if placed == comp.support else replace(comp, support=placed)))
     out.sort(key=lambda kv: (len(kv[0]), kv[0]))
     return out
 
@@ -388,7 +381,7 @@ def sum_of_uniformly_local(
     on a support is the sum of the matching expansion components of the f_x,
     so no support of diameter above ``2 * radius`` can appear.
     """
-    if not isinstance(radius, int) or radius < 0:
+    if type(radius) is not int or radius < 0:
         raise SchemaError("radius must be a nonnegative integer")
     if not system:
         raise SchemaError("empty system; pass at least one site function")
@@ -432,14 +425,8 @@ def to_uniformly_local(f: UniformFunction) -> dict[Site, LocalFunction]:
         )
         for x in key:
             pieces.setdefault(x, {})[key] = scaled
-    out: dict[Site, LocalFunction] = {}
-    for x in sorted(pieces):
-        parts = pieces[x]
-        union: set[Site] = set()
-        for key in parts:
-            union |= set(key)
-        out[x] = assemble(parts, tuple(sorted(union)))
-    return out
+    return {x: assemble(parts, tuple(sorted(set().union(*parts))))
+            for x, parts in sorted(pieces.items())}
 
 
 def rebase(f: UniformFunction, new_base: int) -> UniformFunction:

@@ -4,6 +4,7 @@ Reports must be byte-deterministic, round-trip through the library loaders,
 and fail with machine-parsable one-line errors on the right exit status.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -12,7 +13,12 @@ from latticecalc import linalg
 from latticecalc.cli import main
 from latticecalc.interaction import builtin_interaction, state_space
 from latticecalc.sitegraph import lattice_window, load_graph
-from latticecalc.transitions import transition_from_document
+from latticecalc.transitions import (
+    ConfigCode,
+    component_bfs,
+    transition_document,
+    transition_from_document,
+)
 from latticecalc.uniform import (
     configuration,
     families_equal,
@@ -143,6 +149,68 @@ def test_component_streams_replayable_transitions(capsys, workdir):
         assert matched is not None
         seen.add(matched.after)
     assert len(seen) == report["outputs"]["size"]
+
+
+def test_truncated_component_streams_lines_that_replay(capsys, workdir):
+    code, out, _ = run(
+        capsys, "component",
+        "--interaction", "exclusion",
+        "--graph", "lattice:1:-6:6",
+        "--config", str(workdir / "etaA.json"),
+        "--max-states", "5",
+    )
+    assert code == 0
+    *lines, report = out.strip().splitlines()
+    report = json.loads(report)
+    assert report["outputs"] == {"size": 5, "transitions": 4, "truncated": True}
+    assert ["round-trip", "pass"] in report["verification"]
+    phi, g = builtin_interaction("exclusion"), lattice_window(1, -6, 6)
+    eta = load_configuration(
+        json.loads((workdir / "etaA.json").read_text()), phi.states, g
+    )
+    result = component_bfs(phi, eta, max_states=5)
+    codes = ConfigCode(phi, g)
+    assert len(lines) == len(result.steps) == 4
+    for line, (before, edge, phi_edge, after) in zip(lines, result.steps):
+        doc = json.loads(line)
+        assert doc == transition_document(edge, phi_edge, phi.states.labels)
+        assert codes.replay(doc, before) == after
+
+
+def test_component_round_trip_fails_when_a_replay_disagrees(capsys, workdir, monkeypatch):
+    monkeypatch.setattr(ConfigCode, "replay", lambda self, doc, code: -1)
+    code, out, _ = run(
+        capsys, "component",
+        "--interaction", "exclusion",
+        "--graph", "lattice:1:-2:2",
+        "--config", str(workdir / "one.json"),
+    )
+    assert code == 0
+    assert last_report(out)["verification"] == [["round-trip", "fail"]]
+
+
+# stdout digests recorded before the search kept its results as codes
+COMPONENT_SHA256 = {
+    "json": "247b8c33434faa87b6810456a54345999901a6181383244fca7d1007e1d87a21",
+    "table": "52e8c18c7c343a6f0a388d084efcd2a810bbb3049f1c321cd8fbc3b15b7c88c4",
+}
+
+
+@pytest.mark.parametrize("fmt", COMPONENT_SHA256)
+def test_component_stdout_is_pinned(capsys, tmp_path, monkeypatch, fmt):
+    (tmp_path / "ms2.json").write_text(
+        '{"base": "0", "assignments": {"-2": "1", "0": "2", "1": "1", "3": "2"}}\n'
+    )
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(
+        capsys, "component",
+        "--interaction", "multispecies:2",
+        "--graph", "lattice:1:-3:4",
+        "--config", "ms2.json",
+        "--format", fmt,
+    )
+    assert code == 0 and len(out.splitlines()) in (420, 423)
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPONENT_SHA256[fmt]
 
 
 def test_swap_path_endpoint(capsys, workdir):

@@ -286,6 +286,12 @@ def test_kernel_window_must_cover_the_radius():
         invariance_kernel(EXCLUSION, 1, path_graph(9), 0)
 
 
+@pytest.mark.parametrize("radius", [True, 1.0], ids=["bool", "float"])
+def test_kernel_radius_must_be_an_int(radius):
+    with pytest.raises(errors.SchemaError, match="radius"):
+        invariance_kernel(EXCLUSION, radius, lattice_window(1, -4, 4), 0)
+
+
 def test_exclusion_kernel_is_the_particle_count():
     g = lattice_window(1, -4, 4)
     rep = invariance_kernel(EXCLUSION, 1, g, 0)

@@ -65,6 +65,16 @@ def test_from_entries_and_zero():
     assert LocalFunction.constant(ST3, 4).value_at(()) == 4
 
 
+@pytest.mark.parametrize(
+    "key",
+    [(5,), (1, 2), (-1,), (True,), 1, ()],
+    ids=["state", "long", "negative", "bool", "int", "short"],
+)
+def test_from_entries_refuses_a_key_that_is_not_an_assignment(key):
+    with pytest.raises(errors.SchemaError, match="not an assignment"):
+        LocalFunction.from_entries(ST3, (0,), {key: 1, (1,): 3})
+
+
 def test_support_must_be_sorted_and_unique():
     with pytest.raises(errors.SupportError):
         LocalFunction(states=ST2, support=(1, 0), table=(0,) * 4)

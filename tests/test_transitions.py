@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticecalc import errors
+from latticecalc import errors, uniform
 from latticecalc.interaction import (
     builtin_interaction,
     consv_basis,
@@ -26,6 +26,7 @@ from latticecalc.transitions import (
     neighbors,
     permutation_path,
     swap_path,
+    transition_document,
     transition_from_document,
 )
 from latticecalc.uniform import configuration, xi_X
@@ -361,9 +362,15 @@ def assert_matches_reference(phi, eta, max_states_values):
     got, want = neighbors(phi, eta), reference_neighbors(phi, eta)
     assert [t.to_document() for t in got] == [t.to_document() for t in want]
     assert [t.after for t in got] == [t.after for t in want]
+    codes = ConfigCode(phi, eta.graph)
     for max_states in max_states_values:
         res = component_bfs(phi, eta, max_states=max_states)
         visited, truncated, discovery = reference_component_bfs(phi, eta, max_states)
+        assert res.steps == tuple(
+            (codes.encode(t.before), t.edge, t.phi_edge, codes.encode(t.after))
+            for t in discovery
+        )
+        assert res.visited == (codes.encode(eta),) + tuple(w for *_, w in res.steps)
         assert res.configurations == visited
         assert res.truncated == truncated
         assert [t.to_document() for t in res.discovery] == [
@@ -384,12 +391,11 @@ GRAPHS = {
     "lattice-k2": lattice_window(2, -2, 2),
     "strings": STRING_GRAPH,
 }
+BUILTINS = ["exclusion", "multispecies:2", "multispecies:3", "two-species-ac", "quastel2"]
 
 
 @pytest.mark.parametrize("graph", GRAPHS.values(), ids=GRAPHS.keys())
-@pytest.mark.parametrize(
-    "name", ["exclusion", "multispecies:2", "multispecies:3", "two-species-ac", "quastel2"]
-)
+@pytest.mark.parametrize("name", BUILTINS)
 def test_integer_search_matches_the_object_search(name, graph):
     phi = builtin_interaction(name)
     rng = random.Random(f"{name}/{graph.vertices}")
@@ -398,6 +404,73 @@ def test_integer_search_matches_the_object_search(name, graph):
             rng, graph, phi.states, phi.states.base_index, max_occupied=len(graph.vertices)
         )
         assert_matches_reference(phi, eta, [1, 2, 3, 8, 10**6])
+
+
+def malformed_documents(phi, eta):
+    """One document per way a replay must fail: an edge the graph lacks, a
+    move the interaction lacks, a source the configuration does not hold, a
+    label the state space lacks, and two broken shapes."""
+    graph, labels, n = eta.graph, phi.states.labels, phi.states.n
+    x, y = graph.unordered_edges()[0]
+    held = (eta.state_at(x), eta.state_at(y))
+    first = min(phi.edges)
+    far = next(
+        e for e in itertools.permutations(graph.vertices, 2) if e not in graph.edges
+    )
+    docs = {
+        "bad-edge": transition_document(far, first, labels),
+        "unknown-label": {**transition_document((x, y), first, labels), "to": ["?", "?"]},
+        "not-an-object": [x, y],
+        "missing-key": {"edge": [x, y], "from": [labels[0], labels[0]]},
+    }
+    stuck = [p for p in itertools.product(range(n), repeat=2) if (held, p) not in phi.edges]
+    if stuck:
+        docs["non-move"] = transition_document((x, y), (held, stuck[0]), labels)
+    elsewhere = [e for e in sorted(phi.edges) if e[0] != held]
+    if elsewhere:
+        docs["source-mismatch"] = transition_document((x, y), elsewhere[0], labels)
+    return docs
+
+
+@pytest.mark.parametrize("graph", GRAPHS.values(), ids=GRAPHS.keys())
+@pytest.mark.parametrize("name", BUILTINS)
+def test_replay_on_codes_matches_the_object_replay(name, graph):
+    phi = builtin_interaction(name)
+    codes = ConfigCode(phi, graph)
+    rng = random.Random(f"replay/{name}/{graph.vertices}")
+    kinds = set()
+    for _ in range(4):
+        eta = random_configuration(
+            rng, graph, phi.states, phi.states.base_index, max_occupied=len(graph.vertices)
+        )
+        start = codes.encode(eta)
+        assert codes.decode(start, eta.base_index) == eta
+        for tr in neighbors(phi, eta):
+            assert codes.replay(tr.to_document(), start) == codes.encode(tr.after)
+        for kind, doc in malformed_documents(phi, eta).items():
+            kinds.add(kind)
+            with pytest.raises(errors.LatticeCalcError) as want:
+                transition_from_document(doc, phi, eta)
+            with pytest.raises(errors.LatticeCalcError) as got:
+                codes.replay(doc, start)
+            assert (kind, got.type) == (kind, want.type)
+    assert {"bad-edge", "unknown-label", "non-move", "source-mismatch"} <= kinds
+
+
+def test_component_search_builds_no_configuration_or_transition(monkeypatch):
+    eta = configuration(lattice_window(1, 0, 7), EXCLUSION.states, 0, {0: 1, 3: 1, 4: 1})
+    built = []
+    for cls in (uniform.Configuration, Transition):
+        original = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, f=original: built.append(self) or f(self)
+        )
+    res = component_bfs(EXCLUSION, eta)
+    assert built == [] and len(res.visited) == math.comb(8, 3)
+    assert len(res.discovery) == len(res.visited) - 1
+    assert len(built) == len(res.visited) + len(res.discovery)
+    assert len(res.configurations) == len(res.visited)
+    assert len(built) == len(res.visited) + len(res.discovery)  # nothing decoded twice
 
 
 @st.composite

@@ -84,6 +84,19 @@ def test_explicit_uniform_enforces_radius():
     assert ok.radius == 4
 
 
+@pytest.mark.parametrize("radius", [True, 1.0], ids=["bool", "float"])
+def test_uniform_function_radius_must_be_an_int(radius):
+    with pytest.raises(errors.SchemaError, match="radius"):
+        explicit_uniform(ST, G, 1, radius, {(0,): esf((0,), {(0,): 1})})
+
+
+@pytest.mark.parametrize("radius", [True, 1.0], ids=["bool", "float"])
+def test_sum_of_uniformly_local_radius_must_be_an_int(radius):
+    inside = LocalFunction.from_entries(ST, (0,), {(0,): 1})
+    with pytest.raises(errors.SchemaError, match="radius"):
+        sum_of_uniformly_local({0: inside}, radius, G, 1)
+
+
 def test_translated_templates_must_anchor_at_zero():
     with pytest.raises(errors.SchemaError):
         translated_uniform(ST, G, 1, 1, {(1,): esf((1,), {(0,): 1})})
