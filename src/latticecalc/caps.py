@@ -43,7 +43,8 @@ def _parse(raw: str) -> Caps:
     for item in raw.split(","):
         key, sep, value = item.partition("=")
         key, value = key.strip(), value.strip()
-        if not sep or key not in _FIELD_NAMES or not value.isdigit():
+        digits = value.isascii() and value.isdigit()  # int() rejects "²"
+        if not sep or key not in _FIELD_NAMES or not digits:
             raise SchemaError(f"bad {ENV_VAR} entry: {item!r}")
         overrides[key] = int(value)
     return Caps(**overrides)

@@ -241,24 +241,7 @@ def _kernel_unknowns(phi: Interaction, radius: int, graph: SiteGraph, base: int)
     return unknowns
 
 
-def _kernel_index(unknowns):
-    """Column of each unknown, and the supports through each site in order."""
-    uid = {key: i for i, key in enumerate(unknowns)}
-    by_site: dict[int, list] = {}
-    for lam in dict.fromkeys(lam for lam, _ in unknowns):
-        for s in lam:
-            by_site.setdefault(s, []).append(lam)
-    return uid, by_site
-
-
-def _kernel_rows(
-    phi: Interaction,
-    radius: int,
-    graph: SiteGraph,
-    base: int,
-    uid: dict,
-    by_site: dict,
-):
+def _kernel_rows(phi: Interaction, radius: int, graph: SiteGraph, base: int, uid: dict):
     """Constraint rows: one per (transition at an inner edge, admissible
     pattern); their span is the span of the rows of every configuration.
 
@@ -276,7 +259,14 @@ def _kernel_rows(
     a T is λ∖{x, y} for the candidate λ = T ∪ {x} or T ∪ {y}, which lies in
     the window since the fired edge is inner, and λ∖{x, y} is admissible for
     every candidate λ through x or y: the patterns at (x, y) are read off
-    ``by_site[x]`` and ``by_site[y]``.
+    those supports.
+
+    A move from pattern B to A changes the sites Δ.  Its row is +1 at
+    (λ, A|λ) for each candidate λ ⊆ nonbase(A) meeting Δ and −1 at (λ, B|λ)
+    for each candidate λ ⊆ nonbase(B) meeting Δ; a λ is a candidate exactly
+    when its key is in ``uid``.  Nothing cancels: A|λ ≠ B|λ when λ meets Δ,
+    and distinct λ are distinct columns.  So every entry is ±1, and the
+    singleton of a changed site makes every row nonempty.
 
     Patterns come edge by edge in order of (|S|, S), then values: rows of
     small patterns first keep the elimination's fill low.
@@ -284,32 +274,29 @@ def _kernel_rows(
     lo, hi = _inner_window(graph, radius)
     states = range(phi.states.n)
     nonbase = [s for s in states if s != base]
+    supports = dict.fromkeys(lam for lam, _ in uid)
 
-    def row_for(before: dict, after: dict, delta) -> dict:
-        row: dict[int, int] = {}
-        lams = set()
-        for d in delta:
-            lams.update(by_site.get(d, ()))
-        for lam in lams:
-            be = tuple(before.get(s, base) for s in lam)
-            af = tuple(after.get(s, base) for s in lam)
-            if be == af:
-                continue
-            if base not in af:
-                key = uid[(lam, af)]
-                row[key] = row.get(key, 0) + 1
-            if base not in be:
-                key = uid[(lam, be)]
-                row[key] = row.get(key, 0) - 1
-        return {c: v for c, v in row.items() if v}
+    def columns(config: dict, order, delta):
+        """Columns (λ, config|λ) of the candidate λ ⊆ nonbase(config) meeting delta."""
+        sites = [s for s in order if config[s] != base]
+        for r in range(1, len(sites) + 1):
+            for lam in combinations(sites, r):
+                if not delta.isdisjoint(lam):
+                    col = uid.get((lam, tuple(config[s] for s in lam)))
+                    if col is not None:
+                        yield col
 
     # single transitions whose fired edge sits in the inner window
     for x, y in graph.unordered_edges():
         if not (lo <= x and y <= hi):
             continue
-        through = (*by_site.get(x, ()), *by_site.get(y, ()))
-        patterns = {tuple(s for s in lam if s != x and s != y) for lam in through}
+        patterns = {
+            tuple(s for s in lam if s != x and s != y)
+            for lam in supports
+            if x in lam or y in lam
+        }
         for sites in sorted(patterns, key=lambda sites: (len(sites), sites)):
+            order = sorted((*sites, x, y))
             for s, t, *values in product(states, states, *[nonbase] * len(sites)):
                 pattern = dict(zip(sites, values))
                 pattern[x], pattern[y] = s, t
@@ -317,10 +304,10 @@ def _kernel_rows(
                     if (c, d) == (s, t):
                         continue
                     after = {**pattern, x: c, y: d}
-                    delta = [site for site, old, new in ((x, s, c), (y, t, d)) if old != new]
-                    row = row_for(pattern, after, delta)
-                    if row:
-                        yield row
+                    delta = {site for site, old, new in ((x, s, c), (y, t, d)) if old != new}
+                    row = dict.fromkeys(columns(after, order, delta), 1)
+                    row.update(dict.fromkeys(columns(pattern, order, delta), -1))
+                    yield row
 
 
 def _certify_basis(basis, uid: dict, reducer: linalg.RowReducer) -> None:
@@ -376,15 +363,17 @@ def invariance_kernel(
         raise WindowTooSmallError(
             f"window length {b - a} below the minimum {4 * (radius + 1)}"
         )
+    lo, hi = _inner_window(graph, radius)
+    if hi - lo < 1:
+        raise WindowTooSmallError(f"inner window [{lo}, {hi}] holds no edge")
     unknowns = _kernel_unknowns(phi, radius, graph, base)
     limit = caps.current().max_unknowns
     if len(unknowns) > limit:
         raise CapExceededError(f"{len(unknowns)} unknowns exceed cap {limit}")
-    uid, by_site = _kernel_index(unknowns)
+    uid = {key: i for i, key in enumerate(unknowns)}
     reducer = linalg.RowReducer()
-    for row in _kernel_rows(phi, radius, graph, base, uid, by_site):
+    for row in _kernel_rows(phi, radius, graph, base, uid):
         reducer.add(row)
-    lo, hi = _inner_window(graph, radius)
     first = sum(lam[0] < lo or lam[-1] > hi for lam, _ in unknowns)
     inner = linalg.RowReducer()  # echelon already: the rows are shifted, not re-added
     inner.pivot_rows = {

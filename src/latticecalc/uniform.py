@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .errors import (
@@ -72,13 +73,9 @@ class Configuration:
                 raise SchemaError("assignments must be sorted by site")
             previous = site
 
-    @property
+    @cached_property
     def _lookup(self) -> dict[Site, int]:
-        cached = self.__dict__.get("_lookup_cache")
-        if cached is None:
-            cached = dict(self.assignments)
-            self.__dict__["_lookup_cache"] = cached
-        return cached
+        return dict(self.assignments)
 
     def support(self) -> tuple[Site, ...]:
         return tuple(site for site, _ in self.assignments)

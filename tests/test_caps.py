@@ -14,7 +14,7 @@ def test_caps_parse_is_memoised_per_value(monkeypatch):
     assert caps.current() == caps.Caps(max_bfs=5)
 
 
-@pytest.mark.parametrize("raw", ["max_table=abc", "nosuchcap=3", "max_bfs"])
+@pytest.mark.parametrize("raw", ["max_table=abc", "nosuchcap=3", "max_bfs", "max_table=²"])
 def test_bad_caps_raise_on_every_call(monkeypatch, raw):
     monkeypatch.setenv(caps.ENV_VAR, raw)
     for _ in range(3):

@@ -24,7 +24,6 @@ from latticecalc.cohomology import (
     CochainSpaceSummary,
     KernelReport,
     _candidate_supports,
-    _kernel_index,
     _kernel_rows,
     _kernel_unknowns,
     extract_conserved,
@@ -282,6 +281,9 @@ def test_candidate_supports_agree_with_graph_diameter():
 def test_kernel_window_must_cover_the_radius():
     with pytest.raises(errors.WindowTooSmallError):
         invariance_kernel(EXCLUSION, 1, lattice_window(1, -3, 4), 0)
+    # long enough for R=2, but k·R = 6 leaves the inner window [0, 0]
+    with pytest.raises(errors.WindowTooSmallError, match="no edge"):
+        invariance_kernel(AC, 2, lattice_window(3, -6, 6), 0)
     with pytest.raises(errors.SchemaError):
         invariance_kernel(EXCLUSION, 1, path_graph(9), 0)
 
@@ -307,8 +309,8 @@ def test_exclusion_kernel_is_the_particle_count():
 def test_kernel_elimination_matches_sympy():
     g = lattice_window(1, -4, 4)
     unknowns = _kernel_unknowns(EXCLUSION, 1, g, 0)
-    uid, by_site = _kernel_index(unknowns)
-    rows = list(_kernel_rows(EXCLUSION, 1, g, 0, uid, by_site))
+    uid, _ = kernel_index(unknowns)
+    rows = list(_kernel_rows(EXCLUSION, 1, g, 0, uid))
     mat = sympy.Matrix(
         [[row.get(c, 0) for c in range(len(unknowns))] for row in rows]
     )
@@ -369,8 +371,8 @@ def test_kernel_contains_every_conserved_sum():
     """Span membership: each conserved quantity solves the window system."""
     g = lattice_window(1, -4, 4)
     unknowns = _kernel_unknowns(AC, 1, g, 1)
-    uid, by_site = _kernel_index(unknowns)
-    rows = list(_kernel_rows(AC, 1, g, 1, uid, by_site))
+    uid, _ = kernel_index(unknowns)
+    rows = list(_kernel_rows(AC, 1, g, 1, uid))
     for xi in consv_basis(AC, 1):
         vec = [Fraction(0)] * len(unknowns)
         for i, (lam, entry) in enumerate(unknowns):
@@ -378,6 +380,29 @@ def test_kernel_contains_every_conserved_sum():
                 vec[i] = xi.values[entry[0]]
         for row in rows:
             assert sum(coef * vec[c] for c, coef in row.items()) == 0
+
+
+# The benchmark's kernel windows and their row counts, 1,804 in all.
+BENCHMARK_KERNEL_ROWS = [
+    ("exclusion", 1, (-8, 8), "0", 84),
+    ("multispecies:2", 1, (-6, 6), "0", 300),
+    ("two-species-ac", 1, (-6, 6), "0", 500),
+    ("two-species-ac", 1, (-6, 6), "-1", 500),
+    ("quastel2", 1, (-8, 8), "0", 280),
+    ("exclusion", 2, (-7, 7), "0", 140),
+]
+
+
+@pytest.mark.parametrize(
+    "name,radius,window,base_label,count",
+    BENCHMARK_KERNEL_ROWS,
+    ids=["excl", "ms2", "ac", "ac-base-1", "quastel2", "excl-r2"],
+)
+def test_kernel_row_count_on_a_benchmark_window(name, radius, window, base_label, count):
+    phi, g = builtin_interaction(name), lattice_window(1, *window)
+    base = phi.states.index(base_label)
+    uid, _ = kernel_index(_kernel_unknowns(phi, radius, g, base))
+    assert sum(1 for _ in _kernel_rows(phi, radius, g, base, uid)) == count
 
 
 def test_kernel_for_the_nonexchangeable_variant_runs():
@@ -390,6 +415,17 @@ def test_kernel_for_the_nonexchangeable_variant_runs():
 
 # ---------------------------------------------------------------------------
 # references: rows of every configuration, and exchange rows
+
+
+def kernel_index(unknowns):
+    """Column of each unknown, and the supports through each site in order:
+    the index the reference rows scan, independent of the kernel's own rule."""
+    uid = {key: i for i, key in enumerate(unknowns)}
+    by_site = {}
+    for lam in dict.fromkeys(lam for lam, _ in unknowns):
+        for s in lam:
+            by_site.setdefault(s, []).append(lam)
+    return uid, by_site
 
 
 def _patterns(region, nonbase, bound):
@@ -488,8 +524,8 @@ def reference_exchange_rows(phi, radius, graph, base, probe_bound, uid, by_site)
 
 def assert_exchange_rows_add_no_rank(phi, graph, base, probe_bound):
     unknowns = _kernel_unknowns(phi, 1, graph, base)
-    uid, by_site = _kernel_index(unknowns)
-    reducer = linalg.echelon(_kernel_rows(phi, 1, graph, base, uid, by_site))
+    uid, by_site = kernel_index(unknowns)
+    reducer = linalg.echelon(_kernel_rows(phi, 1, graph, base, uid))
     rank = reducer.rank
     for row in reference_exchange_rows(phi, 1, graph, base, probe_bound, uid, by_site):
         reducer.add(row)
@@ -569,7 +605,7 @@ def test_heavier_swap_route_needs_no_lift():
     92, the rank of the rows of every configuration, and exchange rows add
     nothing."""
     phi, g = _heavier_swap_route(), lattice_window(1, -4, 4)
-    uid, by_site = _kernel_index(_kernel_unknowns(phi, 1, g, 0))
+    uid, by_site = kernel_index(_kernel_unknowns(phi, 1, g, 0))
     bounded = linalg.echelon(reference_kernel_rows(phi, 1, g, 0, 1, uid, by_site))
     assert bounded.rank == 36
     for row in reference_exchange_rows(phi, 1, g, 0, 1, uid, by_site):
@@ -651,8 +687,8 @@ def test_certificate_rejects_a_basis_the_probes_accept(monkeypatch):
 def assert_admissible_rows_span_every_configuration(phi, radius, graph, base):
     """The kernel's rows and the rows of every configuration of the window
     have equal rank, and together no more."""
-    uid, by_site = _kernel_index(_kernel_unknowns(phi, radius, graph, base))
-    admissible = list(_kernel_rows(phi, radius, graph, base, uid, by_site))
+    uid, by_site = kernel_index(_kernel_unknowns(phi, radius, graph, base))
+    admissible = list(_kernel_rows(phi, radius, graph, base, uid))
     rank = linalg.rank(admissible)
     every = linalg.echelon(
         reference_kernel_rows(phi, radius, graph, base, len(graph.vertices), uid, by_site)
@@ -777,7 +813,7 @@ def reference_projected_basis(phi, radius, graph, base):
     canonical nullspace over every unknown, its dense projection onto the
     inner columns, a second ``rref_basis``, and tables filled by mixed radix."""
     unknowns = former_unknowns(phi, radius, graph, base)
-    uid, by_site = _kernel_index(unknowns)
+    uid, by_site = kernel_index(unknowns)
     reducer = linalg.RowReducer()
     for row in reference_admissible_rows(phi, radius, graph, base, uid, by_site):
         reducer.add(row)
@@ -827,10 +863,11 @@ def reference_projected_basis(phi, radius, graph, base):
 
 def assert_kernel_matches_the_former_routes(phi, radius, graph, base):
     unknowns = _kernel_unknowns(phi, radius, graph, base)
-    rows = _kernel_rows(phi, radius, graph, base, *_kernel_index(unknowns))
+    rows = list(_kernel_rows(phi, radius, graph, base, kernel_index(unknowns)[0]))
+    assert all(row and set(row.values()) <= {1, -1} for row in rows)
     former = former_unknowns(phi, radius, graph, base)
     former_rows = reference_admissible_rows(
-        phi, radius, graph, base, *_kernel_index(former)
+        phi, radius, graph, base, *kernel_index(former)
     )
     assert [{unknowns[c]: v for c, v in row.items()} for row in rows] == [
         {former[c]: v for c, v in row.items()} for row in former_rows
