@@ -9,23 +9,21 @@ Defaults are sized for desk-scale experiments.  The environment variable
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
 from functools import lru_cache
 
-from .errors import SchemaError
+from .errors import Record, SchemaError
 
 ENV_VAR = "LATTICECALC_CAPS"
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(Record):
     max_support: int = 12          # sites per dense local-function support
     max_table: int = 1 << 20       # dense table entries / enumerated configurations
     max_bfs: int = 10 ** 6         # visited states per breadth-first search
     max_unknowns: int = 20_000     # columns in an invariance-kernel system
 
 
-_FIELD_NAMES = {f.name for f in fields(Caps)}
+_FIELD_NAMES = set(Caps._fields)
 
 
 def current() -> Caps:

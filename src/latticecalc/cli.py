@@ -14,7 +14,6 @@ exit with status 1, domain violations with status 2.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -79,6 +78,8 @@ def _dumps(obj) -> str:
 
 
 def _read_json(path: str):
+    import hashlib  # here, not at the top: it loads OpenSSL, and only file inputs need it
+
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -476,8 +477,16 @@ def cmd_kernel(args) -> int:
 # parser
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Bad or missing flags are schema errors, reported like every other
+    error; subparsers are built from this class too."""
+
+    def error(self, message: str):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="latticecalc",
         description="Exact calculators for interacting-particle conservation laws.",
     )
@@ -547,9 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except LatticeCalcError as exc:
         line = _dumps({"error": {"code": exc.code, "message": str(exc)}})

@@ -19,7 +19,6 @@ Three entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -28,6 +27,7 @@ from .errors import (
     CapExceededError,
     MismatchError,
     NormalizationError,
+    Record,
     SchemaError,
     VerificationError,
     WindowTooSmallError,
@@ -48,8 +48,7 @@ from .uniform import (
 # finite enumeration
 
 
-@dataclass(frozen=True)
-class CochainSpaceSummary:
+class CochainSpaceSummary(Record):
     dim_c0: int
     dim_c1: int
     rank_d: int
@@ -134,8 +133,7 @@ VIOLATION_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(Record):
     """Either a conserved quantity or a typed violation with a witness."""
 
     outcome: str
@@ -189,8 +187,7 @@ def extract_conserved(f: UniformFunction, phi: Interaction) -> ExtractionResult:
 # invariance kernel over a lattice window
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(Record):
     window: tuple[int, int]
     k: int
     radius: int

@@ -10,7 +10,6 @@ pair sum is constant on the connected components of the pair graph.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -20,6 +19,7 @@ from .errors import (
     AsymmetricEdgesError,
     NormalizationError,
     NotExchangeableError,
+    Record,
     SchemaError,
     UnknownStateError,
 )
@@ -29,8 +29,7 @@ PairIdx = tuple[int, int]
 PhiEdge = tuple[PairIdx, PairIdx]
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(Record):
     """Ordered finite set of state labels, optionally with a marked base state."""
 
     labels: tuple[str, ...]
@@ -67,8 +66,7 @@ def state_space(labels, base: str | None = None) -> StateSpace:
     return StateSpace(labels=labels, base_index=base_index)
 
 
-@dataclass(frozen=True)
-class Interaction:
+class Interaction(Record):
     """Symmetric digraph on ordered state pairs, edges stored by state index."""
 
     states: StateSpace
@@ -170,8 +168,7 @@ def interaction_to_document(phi: Interaction) -> dict:
     return doc
 
 
-@dataclass(frozen=True)
-class PairComponents:
+class PairComponents(Record):
     """Connected components of the pair graph (S x S, edges of the interaction).
 
     ``component_id`` is indexed by ``a * n + b`` for the pair (a, b); ids are
@@ -255,8 +252,7 @@ def pair_exchange_path(phi: Interaction, s1: int, s2: int) -> list[PhiEdge]:
     )
 
 
-@dataclass(frozen=True)
-class ConservedQuantity:
+class ConservedQuantity(Record):
     """Rational value per state, normalized to 0 at the base state when one is fixed."""
 
     states: StateSpace

@@ -13,13 +13,12 @@ are computed by induction over subsets of the support, smallest first, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Mapping
 
 from . import caps
-from .errors import CapExceededError, SchemaError, SupportError
+from .errors import CapExceededError, Record, SchemaError, SupportError
 from .interaction import StateSpace
 from .rationals import ensure_fraction
 from .sitegraph import Site
@@ -37,8 +36,7 @@ def _sorted_support(sites) -> tuple[Site, ...]:
         raise SupportError(f"support sites are not mutually orderable: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class LocalFunction:
+class LocalFunction(Record):
     states: StateSpace
     support: tuple[Site, ...]
     table: tuple[Fraction, ...]
@@ -125,7 +123,6 @@ class LocalFunction:
         return cls(states=states, support=(), table=(ensure_fraction(value),))
 
 
-@dataclass(frozen=True)
 class ExactSupportFunction(LocalFunction):
     """Local function that vanishes whenever any coordinate is the base state."""
 

@@ -11,12 +11,12 @@ reason about translation-invariant families.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
     AsymmetricEdgesError,
+    Record,
     SchemaError,
     UnknownVertexError,
 )
@@ -31,8 +31,7 @@ LATTICE_Z = "lattice_z"
 _KINDS = (EXPLICIT, PATH, CYCLE, LATTICE_Z)
 
 
-@dataclass(frozen=True)
-class SiteGraph:
+class SiteGraph(Record):
     kind: str
     vertices: tuple[Site, ...]
     edges: frozenset[tuple[Site, Site]]

@@ -8,11 +8,10 @@ does the probe-based invariance check for uniform functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import caps
-from .errors import MismatchError, SchemaError, UnknownVertexError
+from .errors import MismatchError, Record, SchemaError, UnknownVertexError
 from .interaction import Interaction, PhiEdge, StateSpace, pair_exchange_path
 from .sitegraph import Site, SiteGraph, shortest_path
 from .uniform import Configuration, UniformFunction, configuration, difference
@@ -24,8 +23,7 @@ def transition_document(edge: tuple[Site, Site], phi_edge: PhiEdge, labels) -> d
     return {"edge": list(edge), "from": [labels[a], labels[b]], "to": [labels[c], labels[d]]}
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(Record):
     before: Configuration
     after: Configuration
     edge: tuple[Site, Site]
@@ -140,8 +138,7 @@ def neighbors(phi: Interaction, eta: Configuration) -> list[Transition]:
     ]
 
 
-@dataclass(frozen=True)
-class ComponentResult:
+class ComponentResult(Record):
     """Reachable component of a configuration; truncation is an outcome.
 
     ``visited`` lists the ``ConfigCode`` integers in discovery order and
@@ -270,8 +267,7 @@ def permutation_path(
     return out
 
 
-@dataclass(frozen=True)
-class InvarianceCheck:
+class InvarianceCheck(Record):
     """Outcome of probing a uniform function against transitions.
 
     The probe set never exhausts the configuration space, so a passing check

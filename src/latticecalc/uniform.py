@@ -18,7 +18,6 @@ lattices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
@@ -27,6 +26,7 @@ from .errors import (
     LocalityError,
     MismatchError,
     NormalizationError,
+    Record,
     SchemaError,
     SupportError,
     UnknownVertexError,
@@ -46,16 +46,17 @@ ComponentKey = tuple[Site, ...]
 # configurations
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Record):
     """Finite-support assignment of states to the sites of a graph.
 
     ``assignments`` holds (site, state index) pairs sorted by site, never
     containing the base state, so equal configurations have equal encodings.
     """
 
-    graph: SiteGraph = field(hash=False)
-    states: StateSpace = field(hash=False)
+    _unhashed = ("graph", "states")
+
+    graph: SiteGraph
+    states: StateSpace
     base_index: int
     assignments: tuple[tuple[Site, int], ...]
 
@@ -125,8 +126,7 @@ def _lattice_diameter(template: ComponentKey, k: int) -> int:
     return -(-span // k)
 
 
-@dataclass(frozen=True)
-class UniformFunction:
+class UniformFunction(Record):
     states: StateSpace
     graph: SiteGraph
     base_index: int
@@ -276,7 +276,7 @@ def family_items(f: UniformFunction) -> list[tuple[ComponentKey, ExactSupportFun
     """
     out = [(key, comp) for key, comp in f.components if not key]
     for placed, comp in _placed(f, frozenset(f.graph.vertices)):
-        out.append((placed, comp if placed == comp.support else replace(comp, support=placed)))
+        out.append((placed, comp if placed == comp.support else comp.replace(support=placed)))
     out.sort(key=lambda kv: (len(kv[0]), kv[0]))
     return out
 

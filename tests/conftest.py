@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from latticecalc import (
     configuration,
     lattice_window,
     linalg,
+    make_interaction,
+    state_space,
 )
 from latticecalc.cohomology import _kernel_unknowns
 
@@ -76,6 +79,16 @@ def exact_support_functions(draw, states, base, max_arity=2, sites=range(-4, 5))
     return ExactSupportFunction(
         states=states, support=support, table=tuple(table), base_index=base
     )
+
+
+@st.composite
+def small_interactions(draw):
+    n = draw(st.integers(2, 3))
+    pairs = list(itertools.product(range(n), repeat=2))
+    edges = draw(st.sets(st.tuples(st.sampled_from(pairs), st.sampled_from(pairs)),
+                         max_size=6))
+    base = draw(st.integers(0, n - 1))
+    return make_interaction(state_space([str(i) for i in range(n)], str(base)), edges)
 
 
 @st.composite

@@ -402,6 +402,82 @@ def test_error_lines_and_exit_codes(capsys, workdir, tmp_path):
     assert json.loads(err)["error"]["code"] == "window-too-small"
 
 
+@pytest.mark.parametrize("argv,named", [
+    (("kernel", "--interaction", "exclusion", "--radius", "abc", "--window=-8:8"), "--radius"),
+    (("component", "--interaction", "exclusion", "--graph", "lattice:1:-2:2",
+      "--config", "one.json", "--max-states", "x"), "--max-states"),
+    (("consv",), "--interaction"),
+    (("no-such-command",), "no-such-command"),
+], ids=["bad-int", "bad-max-states", "missing-flag", "unknown-command"])
+def test_bad_or_missing_flags_are_schema_errors(capsys, workdir, monkeypatch, argv, named):
+    monkeypatch.chdir(workdir)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["code"] == "schema" and named in error["message"]
+
+
+TOP_HELP = """\
+usage: latticecalc [-h] [--version]
+                   {consv,exchangeable,expand,rebase,diff,neighbors,component,swap-path,invariant,h0,extract,kernel}
+                   ...
+
+Exact calculators for interacting-particle conservation laws.
+
+positional arguments:
+  {consv,exchangeable,expand,rebase,diff,neighbors,component,swap-path,invariant,h0,extract,kernel}
+    consv               basis of conserved quantities
+    exchangeable        decide exchangeability
+    expand              exact-support components of a local function
+    rebase              rewrite a uniform function over a new base state
+    diff                difference of a uniform function along two
+                        configurations
+    neighbors           single transitions out of a configuration
+    component           breadth-first reachable component
+    swap-path           transition sequence exchanging two sites
+    invariant           probe a uniform function for invariance
+    h0                  exact cochain dimensions of a finite system
+    extract             decide if a uniform function is a conserved sum
+    kernel              invariance kernel over a lattice window
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+KERNEL_HELP = """\
+usage: latticecalc kernel [-h] [--format {json,table}] [--out OUT]
+                          --interaction INTERACTION --radius RADIUS
+                          [--window WINDOW] [--k K] [--graph GRAPH]
+                          [--base BASE]
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,table}
+  --out OUT             write the report to this file instead of stdout
+  --interaction INTERACTION
+  --radius RADIUS
+  --window WINDOW       a:b window bounds (use --window=-6:6 form)
+  --k K                 interaction range for --window
+  --graph GRAPH
+  --base BASE
+"""
+
+
+@pytest.mark.parametrize("argv,text", [
+    (("--help",), TOP_HELP),
+    (("kernel", "--help"), KERNEL_HELP),
+    (("--version",), "latticecalc 0.1.0\n"),
+], ids=["help", "kernel-help", "version"])
+def test_help_and_version_exit_zero_with_their_text(capsys, monkeypatch, argv, text):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    assert stop.value.code == 0
+    assert capsys.readouterr() == (text, "")
+
+
 def test_h0_routes_that_disagree_fail_verification(capsys, monkeypatch):
     add = linalg.RowReducer.add
     seen = []

@@ -55,7 +55,7 @@ from latticecalc.uniform import (
     xi_X,
 )
 
-from conftest import add_pair_component_to_kernel_basis
+from conftest import add_pair_component_to_kernel_basis, small_interactions
 
 EXCLUSION = builtin_interaction("exclusion")
 MS2 = builtin_interaction("multispecies:2")
@@ -628,16 +628,6 @@ def test_kernel_certificate_holds_for_every_builtin_and_base(name):
     for base in range(phi.states.n):
         report = invariance_kernel(phi, 1, g, base)
         assert reference_probe_check(phi, report, g, base)
-
-
-@st.composite
-def small_interactions(draw):
-    n = draw(st.integers(2, 3))
-    pairs = list(itertools.product(range(n), repeat=2))
-    edges = draw(st.sets(st.tuples(st.sampled_from(pairs), st.sampled_from(pairs)),
-                         max_size=6))
-    base = draw(st.integers(0, n - 1))
-    return make_interaction(state_space([str(i) for i in range(n)], str(base)), edges)
 
 
 @settings(max_examples=40, deadline=None)
