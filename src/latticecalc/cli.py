@@ -3,9 +3,9 @@
 Every subcommand reads JSON inputs, runs one operation, and writes a single
 deterministic JSON line: a report embedding the tool version, a digest of
 every input, the outputs payload and a list of verification checks that were
-re-run on the results.  ``component`` and ``swap-path`` stream each
-transition as its own JSON line ahead of the report.  ``--format table``
-renders the same payload as indented text instead.
+re-run on the results.  ``component`` and ``swap-path`` write each
+transition as a JSON line ahead of the report once the work is done.
+``--format table`` renders the same payload as indented text instead.
 
 Failures print one JSON line with an ``error.code``; schema and I/O problems
 exit with status 1, domain violations with status 2.
@@ -177,7 +177,12 @@ def _table_lines(prefix: str, value, out: list[str]) -> None:
         out.append(f"{prefix}: {value}")
 
 
-def _emit(args, command: str, inputs, params, outputs, verification, lines=None) -> int:
+def _table_row(doc) -> str:
+    x, y = doc["edge"]
+    return f"{x}~{y}: {','.join(doc['from'])} -> {','.join(doc['to'])}"
+
+
+def _emit(args, command: str, inputs, params, outputs, verification, lines=()) -> int:
     report = {
         "command": command,
         "inputs": inputs,
@@ -187,20 +192,17 @@ def _emit(args, command: str, inputs, params, outputs, verification, lines=None)
         "verification": [list(item) for item in verification],
         "version": __version__,
     }
+    render = _table_row if args.format == "table" else _dumps
+    # a document shared by several lines is rendered once
+    rendered = {key: render(doc) for key, doc in {id(d): d for d in lines}.items()}
+    rows = [rendered[id(doc)] for doc in lines]
     if args.format == "table":
-        rows: list[str] = []
-        for doc in lines or []:
-            x, y = doc["edge"]
-            rows.append(
-                f"{x}~{y}: {','.join(doc['from'])} -> {','.join(doc['to'])}"
-            )
         _table_lines("", outputs, rows)
         for name, status in verification:
             rows.append(f"check {name}: {status}")
         text = "\n".join(rows) + "\n"
     else:
-        text = "".join(_dumps(doc) + "\n" for doc in lines or [])
-        text += _dumps(report) + "\n"
+        text = "".join(row + "\n" for row in rows) + _dumps(report) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -328,22 +330,28 @@ def cmd_component(args) -> int:
     graph = _graph_arg(args.graph, inputs)
     eta = _config_file(args.config, phi.states, graph, inputs, "config")
     result = component_bfs(phi, eta, max_states=args.max_states)
-    labels, steps = phi.states.labels, result.steps
-    docs = [transition_document(edge, phi_edge, labels) for _, edge, phi_edge, _ in steps]
-    ok = all(
-        result.codes.replay(doc, before) == after
-        for doc, (before, _, _, after) in zip(docs, steps)
-    )
+    keys = [(edge, phi_edge) for _, edge, phi_edge, _ in result.steps]
+    docs = {key: transition_document(*key, phi.states.labels) for key in dict.fromkeys(keys)}
+    # each distinct line is read back once from its bytes, each step checked
+    moves = {key: result.codes.read(json.loads(_dumps(doc))) for key, doc in docs.items()}
+    try:
+        ok = all(
+            result.codes.apply(moves[key], before) == after
+            for key, (before, *_, after) in zip(keys, result.steps)
+        )
+    except MismatchError:
+        ok = False
     verification = [("round-trip", "pass" if ok else "fail")]
     outputs = {
         "size": len(result.visited),
-        "transitions": len(docs),
+        "transitions": len(keys),
         "truncated": result.truncated,
     }
     params = {"interaction": args.interaction, "graph": args.graph, "config": args.config}
     if args.max_states is not None:
         params["max_states"] = args.max_states
-    return _emit(args, "component", inputs, params, outputs, verification, lines=docs)
+    lines = [docs[key] for key in keys]
+    return _emit(args, "component", inputs, params, outputs, verification, lines=lines)
 
 
 def cmd_swap_path(args) -> int:

@@ -9,6 +9,7 @@ does the probe-based invariance check for uniform functions.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate, repeat
 
 from . import caps
 from .errors import MismatchError, Record, SchemaError, UnknownVertexError
@@ -59,16 +60,19 @@ def _transition(eta: Configuration, edge: tuple[Site, Site], phi_edge: PhiEdge):
     )
 
 
-def _read_move(doc, phi: Interaction, graph: SiteGraph, states: StateSpace, state_at):
+def _read_move(doc, phi: Interaction, graph: SiteGraph, states: StateSpace):
     """The ordered edge and interaction edge a transition document names,
-    checked against the graph, the interaction and the source states
-    ``state_at(site)``.  Every replay of a document goes through here."""
+    checked against the graph and the interaction.  Every replay of a
+    document goes through here; the caller checks the source states."""
     if not isinstance(doc, dict):
         raise SchemaError("transition document must be an object")
     try:
-        (x, y), from_labels, to_labels = doc["edge"], doc["from"], doc["to"]
-    except (KeyError, TypeError, ValueError) as exc:
+        fields = doc["edge"], doc["from"], doc["to"]
+    except KeyError as exc:
         raise SchemaError(f"transition document needs edge/from/to: {exc}") from exc
+    if not all(type(v) is list and len(v) == 2 for v in fields):
+        raise SchemaError("transition edge/from/to must each list two entries")
+    (x, y), from_labels, to_labels = fields
     x, y = graph.parse_site(x), graph.parse_site(y)
     phi_edge = (
         (states.index(from_labels[0]), states.index(from_labels[1])),
@@ -78,10 +82,6 @@ def _read_move(doc, phi: Interaction, graph: SiteGraph, states: StateSpace, stat
         raise UnknownVertexError(f"({x!r}, {y!r}) is not a graph edge")
     if phi_edge not in phi.edges:
         raise MismatchError("the transition's move is not an interaction edge")
-    if (state_at(x), state_at(y)) != phi_edge[0]:
-        raise MismatchError(
-            f"configuration does not match the transition source at edge ({x}, {y})"
-        )
     return (x, y), phi_edge
 
 
@@ -91,39 +91,55 @@ class ConfigCode:
 
     def __init__(self, phi: Interaction, graph: SiteGraph) -> None:
         n, m = phi.states.n, len(graph.vertices)
-        self.phi, self.graph = phi, graph
+        self.phi, self.graph, self.n = phi, graph, n
         self.size = n**m
-        self.place = {x: n ** (m - 1 - i) for i, x in enumerate(graph.vertices)}
-        self._edges = [
-            (x, y, self.place[x], self.place[y]) for x, y in graph.unordered_edges()
-        ]
+        powers = list(accumulate(repeat(n, m - 1), int.__mul__, initial=1))
+        self.place = place = dict(zip(graph.vertices, reversed(powers)))
+        # per edge x < y, at index s * n + t (the order of ``edge_moves``):
+        # the moves out of (s, t) as (ordered edge, interaction edge, code offset)
+        self._edges = []
+        for x, y in graph.unordered_edges():
+            px, py, ends = place[x], place[y], ((x, y), (y, x))
+            self._edges.append((px, py, [
+                tuple([
+                    (ends[flipped], phi_edge, (c - s) * px + (d - t) * py)
+                    for flipped, phi_edge, (c, d) in moves
+                ]) if moves else ()
+                for (s, t), moves in phi.edge_moves.items()
+            ]))
 
     def encode(self, eta: Configuration) -> int:
         return sum(eta.state_at(x) * p for x, p in self.place.items())
 
     def decode(self, code: int, base: int) -> Configuration:
-        n = self.phi.states.n
-        digits = {x: code // p % n for x, p in self.place.items()}
+        digits = {x: code // p % self.n for x, p in self.place.items()}
         return configuration(self.graph, self.phi.states, base, digits)
 
     def fire(self, code: int):
         """Yield ``(edge, interaction edge, code after)`` for every move out of
         ``code``: ``Interaction.edge_moves`` at each edge, edges in sorted order."""
-        n, moves = self.phi.states.n, self.phi.edge_moves
-        for x, y, px, py in self._edges:
-            s, t = code // px % n, code // py % n
-            for flipped, phi_edge, (c, d) in moves[(s, t)]:
-                edge = (y, x) if flipped else (x, y)
-                yield edge, phi_edge, code + (c - s) * px + (d - t) * py
+        n = self.n
+        for px, py, table in self._edges:
+            for edge, phi_edge, offset in table[code // px % n * n + code // py % n]:
+                yield edge, phi_edge, code + offset
+
+    def read(self, doc) -> tuple[int, int, tuple[int, int], int]:
+        """``(place x, place y, source pair, code offset)`` of the move ``doc``
+        names, checked against the graph and the interaction."""
+        (x, y), ((a, b), (c, d)) = _read_move(doc, self.phi, self.graph, self.phi.states)
+        px, py = self.place[x], self.place[y]
+        return px, py, (a, b), (c - a) * px + (d - b) * py
+
+    def apply(self, move, code: int) -> int:
+        """The code after the move ``read`` returned fires from ``code``."""
+        px, py, source, offset = move
+        if (code // px % self.n, code // py % self.n) != source:
+            raise MismatchError("configuration does not match the transition source")
+        return code + offset
 
     def replay(self, doc, code: int) -> int:
-        """The code after the move ``doc`` names, fired from ``code``; the
-        document is checked as ``transition_from_document`` checks it."""
-        n, place = self.phi.states.n, self.place
-        (x, y), ((a, b), (c, d)) = _read_move(
-            doc, self.phi, self.graph, self.phi.states, lambda s: code // place[s] % n
-        )
-        return code + (c - a) * place[x] + (d - b) * place[y]
+        """The code after the move ``doc`` names, fired from ``code``."""
+        return self.apply(self.read(doc), code)
 
 
 def neighbors(phi: Interaction, eta: Configuration) -> list[Transition]:
@@ -304,5 +320,5 @@ def transition_from_document(
     doc: dict, phi: Interaction, eta: Configuration
 ) -> Transition:
     """Replay a serialized transition against the configuration it fires from."""
-    edge, phi_edge = _read_move(doc, phi, eta.graph, eta.states, eta.state_at)
-    return _transition(eta, edge, phi_edge)
+    edge, phi_edge = _read_move(doc, phi, eta.graph, eta.states)
+    return _transition(eta, edge, phi_edge)  # checks the source states

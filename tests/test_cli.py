@@ -9,10 +9,10 @@ import json
 
 import pytest
 
-from latticecalc import linalg
-from latticecalc.cli import main
+from latticecalc import __version__, linalg
+from latticecalc.cli import _dumps, main
 from latticecalc.interaction import builtin_interaction, state_space
-from latticecalc.sitegraph import lattice_window, load_graph
+from latticecalc.sitegraph import cycle_graph, lattice_window, load_graph
 from latticecalc.transitions import (
     ConfigCode,
     component_bfs,
@@ -178,12 +178,56 @@ def test_truncated_component_streams_lines_that_replay(capsys, workdir):
 
 
 def test_component_round_trip_fails_when_a_replay_disagrees(capsys, workdir, monkeypatch):
-    monkeypatch.setattr(ConfigCode, "replay", lambda self, doc, code: -1)
+    monkeypatch.setattr(ConfigCode, "apply", lambda self, move, code: -1)
     code, out, _ = run(
         capsys, "component",
         "--interaction", "exclusion",
         "--graph", "lattice:1:-2:2",
         "--config", str(workdir / "one.json"),
+    )
+    assert code == 0
+    assert last_report(out)["verification"] == [["round-trip", "fail"]]
+
+
+def corrupt_step(result, which, how):
+    """The exclusion component ``result`` with one field of one step replaced:
+    of its last step, or of the first step whose move a later step fires again."""
+    moves = [(edge, phi_edge) for _, edge, phi_edge, _ in result.steps]
+    if which == "last":
+        i = len(moves) - 1
+    else:
+        i = next(i for i, move in enumerate(moves) if move in moves[i + 1:])
+    before, edge, phi_edge, after = result.steps[i]
+    (x, y), (source, _), place = edge, phi_edge, result.codes.place
+    if how == "before-source":  # the states at the edge are not the source
+        before = next(
+            c for c in result.visited
+            if (c // place[x] % 2, c // place[y] % 2) != source
+        )
+    elif how == "before-elsewhere":  # the same source, an empty site filled
+        away = next(v for v in place if v not in edge and before // place[v] % 2 == 0)
+        before += place[away]
+    else:
+        after = next(c for c in result.visited if c != after)
+    steps = list(result.steps)
+    steps[i] = (before, edge, phi_edge, after)
+    return result.replace(steps=tuple(steps))
+
+
+@pytest.mark.parametrize("how", ["before-source", "before-elsewhere", "after"])
+@pytest.mark.parametrize("which", ["last", "repeated"])
+def test_component_round_trip_fails_on_one_bad_step(
+    capsys, workdir, monkeypatch, which, how
+):
+    monkeypatch.setattr(
+        "latticecalc.cli.component_bfs",
+        lambda *a, **kw: corrupt_step(component_bfs(*a, **kw), which, how),
+    )
+    code, out, _ = run(
+        capsys, "component",
+        "--interaction", "exclusion",
+        "--graph", "lattice:1:-2:4",
+        "--config", str(workdir / "etaA.json"),
     )
     assert code == 0
     assert last_report(out)["verification"] == [["round-trip", "fail"]]
@@ -211,6 +255,103 @@ def test_component_stdout_is_pinned(capsys, tmp_path, monkeypatch, fmt):
     )
     assert code == 0 and len(out.splitlines()) in (420, 423)
     assert hashlib.sha256(out.encode()).hexdigest() == COMPONENT_SHA256[fmt]
+
+
+def reference_component_stdout(name, graph, config, inputs, params, fmt, max_states):
+    """``component``'s stdout written step by step: one ``transition_document``,
+    one ``_dumps`` and one ``ConfigCode.replay`` for every step."""
+    phi = builtin_interaction(name)
+    eta = load_configuration(json.loads(config.read_text()), phi.states, graph)
+    result = component_bfs(phi, eta, max_states=max_states)
+    docs, ok = [], True
+    for before, edge, phi_edge, after in result.steps:
+        docs.append(transition_document(edge, phi_edge, phi.states.labels))
+        ok = ok and result.codes.replay(docs[-1], before) == after
+    outputs = {
+        "size": len(result.visited),
+        "transitions": len(docs),
+        "truncated": result.truncated,
+    }
+    verification = [["round-trip", "pass" if ok else "fail"]]
+    if fmt == "table":
+        rows = [
+            f"{d['edge'][0]}~{d['edge'][1]}: {','.join(d['from'])} -> {','.join(d['to'])}"
+            for d in docs
+        ]
+        rows += [f"{key}: {outputs[key]}" for key in sorted(outputs)]
+        rows += [f"check {check}: {status}" for check, status in verification]
+        return "\n".join(rows) + "\n"
+    report = {
+        "command": "component",
+        "inputs": inputs,
+        "outputs": outputs,
+        "params": params,
+        "tool": "latticecalc",
+        "verification": verification,
+        "version": __version__,
+    }
+    return "".join(_dumps(doc) + "\n" for doc in docs) + _dumps(report) + "\n"
+
+
+STRING_GRAPH_DOC = {
+    "kind": "explicit",
+    "vertices": ["d", "b", "a", "c", "e"],
+    "edges": [["a", "b"], ["b", "c"], ["c", "a"], ["c", "d"], ["d", "e"]],
+}
+PLACED = {
+    "exclusion": ["1", "1"],
+    "multispecies:2": ["1", "2", "1"],
+    "multispecies:3": ["1", "3", "2"],
+    "two-species-ac": ["-1", "1"],
+    "quastel2": ["1", "2"],
+}
+
+
+COMPONENT_GRAPHS = {  # --graph argument, the graph, --max-states
+    "lattice": ("lattice:1:-3:2", lattice_window(1, -3, 2), None),
+    "cycle": ("cycle:6", cycle_graph(6), None),
+    "strings": ("strings.json", load_graph(STRING_GRAPH_DOC), None),
+    "truncated": ("lattice:1:-4:4", lattice_window(1, -4, 4), 7),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("where", COMPONENT_GRAPHS)
+@pytest.mark.parametrize("name", PLACED)
+def test_component_stdout_matches_the_per_step_reference(
+    capsys, tmp_path, monkeypatch, name, where, fmt
+):
+    monkeypatch.chdir(tmp_path)
+    graph_arg, graph, max_states = COMPONENT_GRAPHS[where]
+    (tmp_path / "strings.json").write_text(json.dumps(STRING_GRAPH_DOC))
+    states = builtin_interaction(name).states
+    sites = ["a", "c", "e"] if where == "strings" else ["0", "1", "2"]
+    config = tmp_path / "start.json"
+    config.write_text(json.dumps({
+        "base": states.labels[states.base_index],
+        "assignments": dict(zip(sites, PLACED[name])),
+    }))
+    argv = ["component", "--interaction", name, "--graph", graph_arg, "--config", "start.json"]
+    params = {"interaction": name, "graph": graph_arg, "config": "start.json"}
+    if max_states is not None:
+        params["max_states"] = max_states
+        argv += ["--max-states", str(max_states)]
+
+    def digest(path):
+        return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+
+    inputs = {
+        "interaction": "builtin:" + name,
+        "graph": digest(tmp_path / graph_arg) if where == "strings" else "shorthand:" + graph_arg,
+        "config": digest(config),
+    }
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert out == reference_component_stdout(
+        name, graph, config, inputs, params, fmt, max_states
+    )
+    *lines, report = out.splitlines()
+    assert len(lines) > 4 and "pass" in report
 
 
 def test_swap_path_endpoint(capsys, workdir):

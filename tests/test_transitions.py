@@ -31,7 +31,7 @@ from latticecalc.transitions import (
 )
 from latticecalc.uniform import configuration, xi_X
 
-from conftest import random_configuration, window_configurations
+from conftest import random_configuration, small_interactions, window_configurations
 
 EXCLUSION = builtin_interaction("exclusion")
 MS2 = builtin_interaction("multispecies:2")
@@ -521,3 +521,61 @@ def test_config_code_is_the_enumeration_order():
         assert codes.encode(eta) == code
         want = [(t.edge, t.phi_edge, codes.encode(t.after)) for t in neighbors(AC, eta)]
         assert list(codes.fire(code)) == want
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"edge": [0, 1], "from": "10", "to": ["0", "1"]},
+        {"edge": [0, 1], "from": ["1", "0"], "to": "01"},
+        {"edge": "01", "from": ["1", "0"], "to": ["0", "1"]},
+        {"edge": [0, 1], "from": ["1", "0", "7"], "to": ["0", "1", "x"]},
+        {"edge": [0, 1, 2], "from": ["1", "0"], "to": ["0", "1"]},
+        {"edge": [0, 1], "from": ["1"], "to": ["0", "1"]},
+        {"edge": (0, 1), "from": ["1", "0"], "to": ["0", "1"]},
+    ],
+)
+def test_transition_documents_need_lists_of_two_entries(doc):
+    """Each of these names the hop 0 -> 1 from a particle at site 0 but for
+    its shape, so only the shape check can reject it."""
+    eta = configuration(G13, EXCLUSION.states, 0, {0: 1})
+    good = {"edge": [0, 1], "from": ["1", "0"], "to": ["0", "1"]}
+    codes = ConfigCode(EXCLUSION, G13)
+    assert codes.replay(good, codes.encode(eta)) == codes.encode(
+        transition_from_document(good, EXCLUSION, eta).after
+    )
+    with pytest.raises(errors.SchemaError):
+        transition_from_document(doc, EXCLUSION, eta)
+    with pytest.raises(errors.SchemaError):
+        codes.replay(doc, codes.encode(eta))
+
+
+def reference_fire(codes, code):
+    """``ConfigCode.fire`` as it was before its moves were tabulated: read
+    both digits at each sorted edge, then orient and offset every move."""
+    n, moves = codes.phi.states.n, codes.phi.edge_moves
+    for x, y in codes.graph.unordered_edges():
+        px, py = codes.place[x], codes.place[y]
+        s, t = code // px % n, code // py % n
+        for flipped, phi_edge, (c, d) in moves[(s, t)]:
+            edge = (y, x) if flipped else (x, y)
+            yield edge, phi_edge, code + (c - s) * px + (d - t) * py
+
+
+FIRE_GRAPHS = {"path": path_graph(4), "cycle": cycle_graph(4), "strings": STRING_GRAPH}
+
+
+@pytest.mark.parametrize("graph", FIRE_GRAPHS.values(), ids=FIRE_GRAPHS.keys())
+@pytest.mark.parametrize("name", BUILTINS)
+def test_fire_keeps_the_reference_order(name, graph):
+    codes = ConfigCode(builtin_interaction(name), graph)
+    for code in range(codes.size):
+        assert list(codes.fire(code)) == list(reference_fire(codes, code))
+
+
+@settings(max_examples=60, deadline=None)
+@given(phi=small_interactions(), graph=st.sampled_from(list(FIRE_GRAPHS.values())))
+def test_fire_keeps_the_reference_order_for_random_interactions(phi, graph):
+    codes = ConfigCode(phi, graph)
+    for code in range(codes.size):
+        assert list(codes.fire(code)) == list(reference_fire(codes, code))
