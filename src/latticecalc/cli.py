@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -70,7 +71,9 @@ from .uniform import (
     uniform_to_document,
 )
 
-_GRAPH_SHORTHANDS = ("path", "cycle", "lattice")
+# each shorthand's builder and the form of its integer fields
+_GRAPH_SHORTHANDS = {"path": (path_graph, "path:n"), "cycle": (cycle_graph, "cycle:n"),
+                     "lattice": (lattice_window, "lattice:k:a:b")}
 
 
 def _dumps(obj) -> str:
@@ -106,20 +109,24 @@ def _interaction_arg(token: str, inputs: dict) -> Interaction:
     return load_interaction(doc)
 
 
+def _int_fields(text: str, count: int) -> list[int] | None:
+    """The ``count`` colon-separated ASCII integers of ``text``; None when
+    ``text`` is anything else."""
+    fields = text.split(":")
+    if len(fields) == count and all(re.fullmatch("-?[0-9]+", f) for f in fields):
+        return [int(f) for f in fields]
+    return None
+
+
 def _graph_arg(token: str, inputs: dict) -> SiteGraph:
-    head = token.split(":", 1)[0]
+    head, _, rest = token.partition(":")
     if head in _GRAPH_SHORTHANDS:
+        build, form = _GRAPH_SHORTHANDS[head]
+        fields = _int_fields(rest, form.count(":"))
+        if fields is None:
+            raise SchemaError(f"bad graph shorthand {token!r}; expected {form}, integers")
         inputs["graph"] = "shorthand:" + token
-        parts = token.split(":")
-        try:
-            if head == "path":
-                return path_graph(int(parts[1]))
-            if head == "cycle":
-                return cycle_graph(int(parts[1]))
-            k, a, b = (int(x) for x in parts[1:4])
-            return lattice_window(k, a, b)
-        except (IndexError, ValueError) as exc:
-            raise SchemaError(f"bad graph shorthand {token!r}: {exc}") from exc
+        return build(*fields)
     doc, digest = _read_json(token)
     inputs["graph"] = digest
     return load_graph(doc)
@@ -452,14 +459,19 @@ def cmd_extract(args) -> int:
 def cmd_kernel(args) -> int:
     inputs: dict = {}
     phi = _interaction_arg(args.interaction, inputs)
-    if args.window:
-        try:
-            lo, hi = (int(x) for x in args.window.split(":"))
-        except ValueError as exc:
-            raise SchemaError(f"bad window {args.window!r}; expected a:b") from exc
-        graph = lattice_window(args.k, lo, hi)
-        inputs["graph"] = f"shorthand:lattice:{args.k}:{lo}:{hi}"
-    elif args.graph:
+    if args.window is not None and args.graph is not None:
+        raise SchemaError("kernel takes --window or --graph, not both")
+    if args.k is not None and args.window is None:
+        raise SchemaError("--k sets the range of a --window lattice; pass --window")
+    if args.window is not None:
+        window = _int_fields(args.window, 2)
+        if window is None:
+            raise SchemaError(f"bad window {args.window!r}; expected a:b")
+        lo, hi = window
+        k = 1 if args.k is None else args.k
+        graph = lattice_window(k, lo, hi)
+        inputs["graph"] = f"shorthand:lattice:{k}:{lo}:{hi}"
+    elif args.graph is not None:
         graph = _graph_arg(args.graph, inputs)
     else:
         raise SchemaError("kernel needs --window a:b or --graph")
@@ -556,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--interaction")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--window", help="a:b window bounds (use --window=-6:6 form)")
-    p.add_argument("--k", type=int, default=1, help="interaction range for --window")
+    p.add_argument("--k", type=int, help="interaction range for --window")
     p.add_argument("--graph")
     p.add_argument("--base")
 

@@ -9,7 +9,6 @@ pair sum is constant on the connected components of the pair graph.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -24,6 +23,7 @@ from .errors import (
     UnknownStateError,
 )
 from .rationals import ensure_fraction, format_rational
+from .sitegraph import breadth_first, path_to
 
 PairIdx = tuple[int, int]
 PhiEdge = tuple[PairIdx, PairIdx]
@@ -57,6 +57,8 @@ class StateSpace(Record):
 
 
 def state_space(labels, base: str | None = None) -> StateSpace:
+    if not isinstance(labels, (list, tuple)):
+        raise SchemaError(f"state labels must be a list, got {type(labels).__name__}")
     labels = tuple(labels)
     base_index = None
     if base is not None:
@@ -136,7 +138,7 @@ def load_interaction(doc: dict) -> Interaction:
     if not isinstance(doc, dict):
         raise SchemaError("interaction document must be an object")
     try:
-        labels = list(doc["states"])
+        labels = doc["states"]
         raw_edges = list(doc["edges"])
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"interaction document needs 'states' and 'edges': {exc}") from exc
@@ -194,18 +196,10 @@ def pair_components(phi: Interaction) -> PairComponents:
     ids = [-1] * (n * n)
     count = 0
     for a, b in product(range(n), repeat=2):
-        start = a * n + b
-        if ids[start] != -1:
-            continue
-        ids[start] = count
-        queue = deque([(a, b)])
-        while queue:
-            pair = queue.popleft()
-            for c, d in phi.targets(pair):
-                if ids[c * n + d] == -1:
-                    ids[c * n + d] = count
-                    queue.append((c, d))
-        count += 1
+        if ids[a * n + b] == -1:
+            for (c, d), _ in breadth_first((a, b), phi.targets):
+                ids[c * n + d] = count
+            count += 1
     return PairComponents(n_states=n, component_id=tuple(ids), count=count)
 
 
@@ -221,31 +215,13 @@ def is_exchangeable(phi: Interaction) -> bool:
 def pair_exchange_path(phi: Interaction, s1: int, s2: int) -> list[PhiEdge]:
     """Shortest pair-graph path from (s1, s2) to (s2, s1), as a list of edges.
 
-    Breadth-first with neighbors scanned in sorted order, so ties are broken
-    lexicographically.  Raises NotExchangeableError when no path exists.
+    The search is ``sitegraph.path_to`` over ``Interaction.targets``, which
+    lists neighbors in sorted order, so ties are broken lexicographically.
+    Raises NotExchangeableError when no path exists.
     """
-    start, goal = (s1, s2), (s2, s1)
-    if start == goal:
-        return []
-    parents: dict[PairIdx, tuple[PairIdx, PhiEdge]] = {}
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nxt in phi.targets(cur):
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            parents[nxt] = (cur, (cur, nxt))
-            if nxt == goal:
-                path = []
-                node = goal
-                while node != start:
-                    prev, edge = parents[node]
-                    path.append(edge)
-                    node = prev
-                return path[::-1]
-            queue.append(nxt)
+    path = path_to((s1, s2), (s2, s1), phi.targets)
+    if path is not None:
+        return list(zip(path, path[1:]))
     labels = phi.states.labels
     raise NotExchangeableError(
         f"({labels[s2]!r}, {labels[s1]!r}) is unreachable from ({labels[s1]!r}, {labels[s2]!r})"

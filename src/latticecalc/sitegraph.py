@@ -69,19 +69,10 @@ class SiteGraph(Record):
             raise SchemaError("graph is not connected")
 
     def _parents(self, x: Site):
-        """Yield (site, parent) breadth-first from x, starting with (x, None);
+        """(site, parent) pairs breadth-first from x, starting with (x, None);
         neighbors are scanned in sorted order, which fixes how ties break."""
         self.require_vertex(x)
-        seen = {x}
-        yield x, None
-        queue = deque([x])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self._adjacency[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    yield nxt, cur
-                    queue.append(nxt)
+        return breadth_first(x, self._adjacency.__getitem__)
 
     @cached_property
     def _adjacency(self) -> dict[Site, tuple[Site, ...]]:
@@ -168,18 +159,41 @@ def lattice_window(k: int, a: int, b: int) -> SiteGraph:
     )
 
 
+def breadth_first(start, step):
+    """Yield (node, parent) breadth-first from start, starting with
+    (start, None).  ``step(node)`` lists a node's neighbors in the order that
+    breaks ties, so the same graph always gives the same search."""
+    seen = {start}
+    yield start, None
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for nxt in step(cur):
+            if nxt not in seen:
+                seen.add(nxt)
+                yield nxt, cur
+                queue.append(nxt)
+
+
+def path_to(start, goal, step) -> list | None:
+    """Nodes of the path from start to goal that ``breadth_first`` finds, a
+    shortest one; None when goal is unreachable."""
+    parents = {}
+    for node, parent in breadth_first(start, step):
+        parents[node] = parent
+        if node == goal:
+            path = [goal]
+            while path[-1] != start:
+                path.append(parents[path[-1]])
+            return path[::-1]
+    return None
+
+
 def shortest_path(g: SiteGraph, x: Site, y: Site) -> list[Site]:
     """Vertices of a shortest path from x to y, ties broken by sorted neighbors."""
     g.require_vertex(y)
-    parents = {}
-    for site, parent in g._parents(x):
-        parents[site] = parent
-        if site == y:
-            break
-    path = [y]
-    while path[-1] != x:
-        path.append(parents[path[-1]])
-    return path[::-1]
+    g.require_vertex(x)
+    return path_to(x, y, g._adjacency.__getitem__)
 
 
 def distance(g: SiteGraph, x: Site, y: Site) -> int:

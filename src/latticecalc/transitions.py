@@ -137,10 +137,6 @@ class ConfigCode:
             raise MismatchError("configuration does not match the transition source")
         return code + offset
 
-    def replay(self, doc, code: int) -> int:
-        """The code after the move ``doc`` names, fired from ``code``."""
-        return self.apply(self.read(doc), code)
-
 
 def neighbors(phi: Interaction, eta: Configuration) -> list[Transition]:
     """Single transitions out of ``eta``, in ``ConfigCode.fire`` order:

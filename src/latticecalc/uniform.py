@@ -478,6 +478,8 @@ def _document_support(raw) -> tuple:
 
 
 def _parse_table(doc_table: Mapping[str, str], states: StateSpace, support) -> dict:
+    if not isinstance(doc_table, dict):
+        raise SchemaError("a local-function 'table' must be an object")
     entries = {}
     for key, raw in doc_table.items():
         labels = key.split(",") if key else []
@@ -518,15 +520,11 @@ def local_function_to_document(f: LocalFunction) -> dict:
 
 def load_component_list(items, states: StateSpace, base: int):
     """Parse a list of {"support": [...], "table": {...}} component documents."""
+    if not isinstance(items, list):
+        raise SchemaError("a uniform function's components must be a list")
     comps: dict[ComponentKey, ExactSupportFunction] = {}
     for item in items:
-        try:
-            support = _document_support(item["support"])
-            table_doc = item["table"]
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"bad component entry: {exc}") from exc
-        entries = _parse_table(table_doc, states, support)
-        fn = LocalFunction.from_entries(states, support, entries)
+        fn = load_local_function(item, states)
         if fn.support in comps:
             raise SchemaError(f"duplicate component support {fn.support}")
         comps[fn.support] = ExactSupportFunction(

@@ -174,7 +174,7 @@ def test_truncated_component_streams_lines_that_replay(capsys, workdir):
     for line, (before, edge, phi_edge, after) in zip(lines, result.steps):
         doc = json.loads(line)
         assert doc == transition_document(edge, phi_edge, phi.states.labels)
-        assert codes.replay(doc, before) == after
+        assert codes.apply(codes.read(doc), before) == after
 
 
 def test_component_round_trip_fails_when_a_replay_disagrees(capsys, workdir, monkeypatch):
@@ -259,14 +259,14 @@ def test_component_stdout_is_pinned(capsys, tmp_path, monkeypatch, fmt):
 
 def reference_component_stdout(name, graph, config, inputs, params, fmt, max_states):
     """``component``'s stdout written step by step: one ``transition_document``,
-    one ``_dumps`` and one ``ConfigCode.replay`` for every step."""
+    one ``_dumps``, one ``ConfigCode.read`` and one ``apply`` for every step."""
     phi = builtin_interaction(name)
     eta = load_configuration(json.loads(config.read_text()), phi.states, graph)
     result = component_bfs(phi, eta, max_states=max_states)
     docs, ok = [], True
     for before, edge, phi_edge, after in result.steps:
         docs.append(transition_document(edge, phi_edge, phi.states.labels))
-        ok = ok and result.codes.replay(docs[-1], before) == after
+        ok = ok and result.codes.apply(result.codes.read(docs[-1]), before) == after
     outputs = {
         "size": len(result.visited),
         "transitions": len(docs),
@@ -549,7 +549,19 @@ def test_error_lines_and_exit_codes(capsys, workdir, tmp_path):
       "--config", "one.json", "--max-states", "x"), "--max-states"),
     (("consv",), "--interaction"),
     (("no-such-command",), "no-such-command"),
-], ids=["bad-int", "bad-max-states", "missing-flag", "unknown-command"])
+    (("h0", "--interaction", "exclusion", "--graph", "path:3:9"), "path:3:9"),
+    (("h0", "--interaction", "exclusion", "--graph", "cycle:4:x"), "cycle:4:x"),
+    (("h0", "--interaction", "exclusion", "--graph", "lattice:1:-2:2:7"), "lattice:1:-2:2:7"),
+    (("h0", "--interaction", "exclusion", "--graph", "path: 3"), "path: 3"),
+    (("h0", "--interaction", "exclusion", "--graph", "path:+3"), "path:+3"),
+    (("h0", "--interaction", "exclusion", "--graph", "path:\u0663"), "path:\u0663"),
+    (("kernel", "--interaction", "exclusion", "--radius", "1", "--window=-4:4",
+      "--graph", "path:3"), "--graph"),
+    (("kernel", "--interaction", "exclusion", "--radius", "1",
+      "--graph", "lattice:1:-4:4", "--k", "2"), "--k"),
+], ids=["bad-int", "bad-max-states", "missing-flag", "unknown-command",
+        "path-extra-field", "cycle-not-int", "lattice-extra-field", "path-space",
+        "path-plus-sign", "path-non-ascii-digit", "window-and-graph", "k-without-window"])
 def test_bad_or_missing_flags_are_schema_errors(capsys, workdir, monkeypatch, argv, named):
     monkeypatch.chdir(workdir)
     code, out, err = run(capsys, *argv)
@@ -557,6 +569,31 @@ def test_bad_or_missing_flags_are_schema_errors(capsys, workdir, monkeypatch, ar
     assert err.count("\n") == 1
     error = json.loads(err)["error"]
     assert error["code"] == "schema" and named in error["message"]
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("expand", {"states": ["0", "1"], "base": "0", "support": [0], "table": ["1"]}),
+    ("expand", {"states": 5, "base": "0", "support": [0], "table": {"1": "1"}}),
+    ("expand", {"states": "01", "base": "0", "support": [0], "table": {"1": "1"}}),
+    ("extract", {"states": ["0", "1"], "base": "0",
+                 "graph": {"kind": "lattice_z", "k": 1, "window": [-6, 6]},
+                 "kind": "explicit", "radius": 0,
+                 "components": [{"support": [0], "table": ["1"]}]}),
+    ("extract", {"states": 5, "base": "0",
+                 "graph": {"kind": "lattice_z", "k": 1, "window": [-6, 6]},
+                 "kind": "explicit", "radius": 0, "components": []}),
+], ids=["expand-table-list", "expand-states-int", "expand-states-str",
+        "extract-table-list", "extract-states-int"])
+def test_malformed_function_documents_are_schema_errors(capsys, tmp_path, command, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--function", str(path)]
+    if command == "extract":
+        argv += ["--interaction", "exclusion"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["code"] == "schema"
 
 
 TOP_HELP = """\

@@ -51,7 +51,9 @@ from latticecalc.uniform import (
     difference,
     explicit_uniform,
     families_equal,
+    family_items,
     family_map,
+    rebase,
     xi_X,
 )
 
@@ -901,3 +903,36 @@ def test_one_state_interaction_has_an_empty_kernel():
     report = assert_kernel_matches_the_former_routes(phi, 1, lattice_window(1, -5, 5), 0)
     assert (report.unknown_count, report.constraint_rank, report.dimension) == (0, 0, 0)
     assert report.basis == ()
+
+
+def family_rows(functions, columns):
+    """Each family's ``family_items`` tables as one sparse row; ``columns``
+    numbers the (support, assignment) entries and grows as they appear."""
+    rows = []
+    for f in functions:
+        row = {}
+        for key, comp in family_items(f):
+            for assignment in comp.assignments():
+                value = comp.value_at(assignment)
+                if value:
+                    row[columns.setdefault((key, assignment), len(columns))] = value
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+@pytest.mark.parametrize(
+    "name", ["exclusion", "multispecies:2", "multispecies:3", "two-species-ac", "quastel2"]
+)
+def test_kernel_does_not_depend_on_the_base(name, radius):
+    """The paper builds uniform functions without a base state: the kernel at
+    base b, rebased to b', spans the kernel computed at b'."""
+    phi = builtin_interaction(name)
+    graph = lattice_window(1, -2 * (radius + 1), 2 * (radius + 1))
+    kernels = [invariance_kernel(phi, radius, graph, b) for b in range(phi.states.n)]
+    for b, other in itertools.permutations(range(phi.states.n), 2):
+        columns = {}
+        moved = family_rows([rebase(f, other) for f in kernels[b].basis], columns)
+        native = family_rows(kernels[other].basis, columns)
+        ranks = (linalg.rank(moved), linalg.rank(native), linalg.rank(moved + native))
+        assert ranks == (kernels[other].dimension,) * 3, (b, other)

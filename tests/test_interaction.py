@@ -7,6 +7,7 @@ the implementation under test.
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
 import networkx as nx
@@ -28,6 +29,8 @@ from latticecalc.interaction import (
     pair_exchange_path,
     state_space,
 )
+
+from conftest import small_interactions
 
 BUILTINS = ["exclusion", "multispecies:1", "multispecies:2", "multispecies:3",
             "two-species-ac", "quastel2"]
@@ -238,6 +241,97 @@ def test_random_interactions_consv_basis_is_conserved(phi):
 def test_random_interactions_components_match_networkx(phi):
     pc = pair_components(phi)
     assert pc.count == nx.number_connected_components(pair_graph(phi))
+
+
+def reference_pair_components(phi):
+    """The search ``pair_components`` used to run itself: (ids, count)."""
+    n = phi.states.n
+    ids = [-1] * (n * n)
+    count = 0
+    for a, b in itertools.product(range(n), repeat=2):
+        start = a * n + b
+        if ids[start] != -1:
+            continue
+        ids[start] = count
+        queue = deque([(a, b)])
+        while queue:
+            pair = queue.popleft()
+            for c, d in phi.targets(pair):
+                if ids[c * n + d] == -1:
+                    ids[c * n + d] = count
+                    queue.append((c, d))
+        count += 1
+    return tuple(ids), count
+
+
+def reference_pair_exchange_path(phi, s1, s2):
+    """The search ``pair_exchange_path`` used to run itself; None when
+    (s2, s1) is unreachable from (s1, s2)."""
+    start, goal = (s1, s2), (s2, s1)
+    if start == goal:
+        return []
+    parents = {}
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for nxt in phi.targets(cur):
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            parents[nxt] = (cur, (cur, nxt))
+            if nxt == goal:
+                path = []
+                node = goal
+                while node != start:
+                    prev, edge = parents[node]
+                    path.append(edge)
+                    node = prev
+                return path[::-1]
+            queue.append(nxt)
+    return None
+
+
+def assert_pair_searches_match_the_references(phi):
+    pc = pair_components(phi)
+    assert (pc.component_id, pc.count) == reference_pair_components(phi)
+    for a, b in itertools.product(range(phi.states.n), repeat=2):
+        want = reference_pair_exchange_path(phi, a, b)
+        if want is None:
+            with pytest.raises(errors.NotExchangeableError):
+                pair_exchange_path(phi, a, b)
+        else:
+            assert pair_exchange_path(phi, a, b) == want
+
+
+# (0, 1) reaches (1, 0) in two moves through (1, 1) or through (2, 2)
+TIED = make_interaction(
+    state_space(["0", "1", "2"]),
+    [((0, 1), (1, 1)), ((1, 1), (1, 0)), ((0, 1), (2, 2)), ((2, 2), (1, 0))],
+)
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["tied"])
+def test_pair_searches_match_the_references(name):
+    phi = TIED if name == "tied" else builtin_interaction(name)
+    assert_pair_searches_match_the_references(phi)
+
+
+@st.composite
+def dense_interactions(draw):
+    """Up to 16 moves on 2-4 states: enough for ties between shortest paths."""
+    n = draw(st.integers(2, 4))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(st.tuples(pairs, pairs), max_size=16))
+    return make_interaction(state_space([str(i) for i in range(n)]), edges)
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.one_of(small_interactions(), dense_interactions()))
+def test_pair_searches_match_the_references_on_random_interactions(phi):
+    """The same ids, and for every pair the same edge list or the same
+    refusal: ``swap-path`` prints the path this search picks."""
+    assert_pair_searches_match_the_references(phi)
 
 
 def test_edge_moves_order_on_two_species_ac():

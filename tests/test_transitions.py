@@ -446,13 +446,13 @@ def test_replay_on_codes_matches_the_object_replay(name, graph):
         start = codes.encode(eta)
         assert codes.decode(start, eta.base_index) == eta
         for tr in neighbors(phi, eta):
-            assert codes.replay(tr.to_document(), start) == codes.encode(tr.after)
+            assert codes.apply(codes.read(tr.to_document()), start) == codes.encode(tr.after)
         for kind, doc in malformed_documents(phi, eta).items():
             kinds.add(kind)
             with pytest.raises(errors.LatticeCalcError) as want:
                 transition_from_document(doc, phi, eta)
             with pytest.raises(errors.LatticeCalcError) as got:
-                codes.replay(doc, start)
+                codes.apply(codes.read(doc), start)
             assert (kind, got.type) == (kind, want.type)
     assert {"bad-edge", "unknown-label", "non-move", "source-mismatch"} <= kinds
 
@@ -541,13 +541,13 @@ def test_transition_documents_need_lists_of_two_entries(doc):
     eta = configuration(G13, EXCLUSION.states, 0, {0: 1})
     good = {"edge": [0, 1], "from": ["1", "0"], "to": ["0", "1"]}
     codes = ConfigCode(EXCLUSION, G13)
-    assert codes.replay(good, codes.encode(eta)) == codes.encode(
+    assert codes.apply(codes.read(good), codes.encode(eta)) == codes.encode(
         transition_from_document(good, EXCLUSION, eta).after
     )
     with pytest.raises(errors.SchemaError):
         transition_from_document(doc, EXCLUSION, eta)
     with pytest.raises(errors.SchemaError):
-        codes.replay(doc, codes.encode(eta))
+        codes.apply(codes.read(doc), codes.encode(eta))
 
 
 def reference_fire(codes, code):

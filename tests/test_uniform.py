@@ -263,6 +263,26 @@ def test_uniform_document_radius_must_be_an_integer(radius):
         load_uniform(doc, ST, G)
 
 
+@pytest.mark.parametrize("kind", ["explicit", "translated"])
+@pytest.mark.parametrize(
+    "items",
+    [
+        ["0"],
+        [{"support": [0]}],
+        [{"support": [0], "table": ["1"]}],
+        [{"support": [0], "table": {"1": "1"}}, {"support": [0], "table": {"-1": "2"}}],
+        5,
+    ],
+    ids=["item-not-object", "no-table", "table-not-object", "repeated-support",
+         "items-not-list"],
+)
+def test_malformed_component_items_are_schema_errors(kind, items):
+    key = "components" if kind == "explicit" else "template"
+    doc = {"kind": kind, "base": "0", "radius": 1, key: items}
+    with pytest.raises(errors.SchemaError):
+        load_uniform(doc, ST, G)
+
+
 def test_configuration_document_roundtrip():
     eta = configuration(G, ST, 1, {-3: 0, 2: 2})
     doc = configuration_to_document(eta)
