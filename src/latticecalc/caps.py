@@ -12,6 +12,7 @@ import os
 from functools import lru_cache
 
 from .errors import Record, SchemaError
+from .rationals import parse_int
 
 ENV_VAR = "LATTICECALC_CAPS"
 
@@ -28,7 +29,7 @@ _FIELD_NAMES = set(Caps._fields)
 
 def current() -> Caps:
     """Caps taken from the environment when set, defaults otherwise."""
-    return _parse(os.environ.get(ENV_VAR, "").strip())
+    return _parse(os.environ.get(ENV_VAR, ""))
 
 
 @lru_cache(maxsize=8)
@@ -39,10 +40,9 @@ def _parse(raw: str) -> Caps:
         return Caps()
     overrides: dict[str, int] = {}
     for item in raw.split(","):
-        key, sep, value = item.partition("=")
-        key, value = key.strip(), value.strip()
-        digits = value.isascii() and value.isdigit()  # int() rejects "²"
-        if not sep or key not in _FIELD_NAMES or not digits:
-            raise SchemaError(f"bad {ENV_VAR} entry: {item!r}")
-        overrides[key] = int(value)
+        key, _, value = item.partition("=")  # no "=" leaves value "", not an integer
+        key, bad = key.strip(), f"bad {ENV_VAR} entry: {item!r}"
+        if key not in _FIELD_NAMES or value.startswith("-"):
+            raise SchemaError(bad)
+        overrides[key] = parse_int(value, bad)
     return Caps(**overrides)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -40,7 +39,7 @@ from .interaction import (
     state_space,
 )
 from .localfn import assemble, expand, is_exact_support
-from .rationals import format_rational
+from .rationals import format_rational, parse_int
 from .sitegraph import (
     SiteGraph,
     cycle_graph,
@@ -109,24 +108,22 @@ def _interaction_arg(token: str, inputs: dict) -> Interaction:
     return load_interaction(doc)
 
 
-def _int_fields(text: str, count: int) -> list[int] | None:
-    """The ``count`` colon-separated ASCII integers of ``text``; None when
-    ``text`` is anything else."""
-    fields = text.split(":")
-    if len(fields) == count and all(re.fullmatch("-?[0-9]+", f) for f in fields):
-        return [int(f) for f in fields]
-    return None
+def _int_flag(text: str) -> int:
+    try:  # argparse puts the flag's name in front of this error's message
+        return parse_int(text)
+    except SchemaError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _graph_arg(token: str, inputs: dict) -> SiteGraph:
     head, _, rest = token.partition(":")
     if head in _GRAPH_SHORTHANDS:
         build, form = _GRAPH_SHORTHANDS[head]
-        fields = _int_fields(rest, form.count(":"))
-        if fields is None:
-            raise SchemaError(f"bad graph shorthand {token!r}; expected {form}, integers")
+        bad = f"bad graph shorthand {token!r}; expected {form}, integers"
+        if token.count(":") != form.count(":"):
+            raise SchemaError(bad)
         inputs["graph"] = "shorthand:" + token
-        return build(*fields)
+        return build(*(parse_int(field, bad) for field in rest.split(":")))
     doc, digest = _read_json(token)
     inputs["graph"] = digest
     return load_graph(doc)
@@ -464,17 +461,15 @@ def cmd_kernel(args) -> int:
     if args.k is not None and args.window is None:
         raise SchemaError("--k sets the range of a --window lattice; pass --window")
     if args.window is not None:
-        window = _int_fields(args.window, 2)
-        if window is None:
-            raise SchemaError(f"bad window {args.window!r}; expected a:b")
-        lo, hi = window
+        a, _, b = args.window.partition(":")
+        bad = f"bad window {args.window!r}; expected a:b"
         k = 1 if args.k is None else args.k
-        graph = lattice_window(k, lo, hi)
-        inputs["graph"] = f"shorthand:lattice:{k}:{lo}:{hi}"
+        token = f"lattice:{k}:{parse_int(a, bad)}:{parse_int(b, bad)}"
     elif args.graph is not None:
-        graph = _graph_arg(args.graph, inputs)
+        token = args.graph
     else:
         raise SchemaError("kernel needs --window a:b or --graph")
+    graph = _graph_arg(token, inputs)
     base = _base_index(phi.states, args.base)
     report = invariance_kernel(phi, args.radius, graph, base)
     # invariance_kernel raises VerificationError unless this check passes
@@ -547,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("neighbors", cmd_neighbors, "single transitions out of a configuration", *system)
 
     p = add("component", cmd_component, "breadth-first reachable component", *system)
-    p.add_argument("--max-states", type=int)
+    p.add_argument("--max-states", type=_int_flag)
 
     p = add("swap-path", cmd_swap_path, "transition sequence exchanging two sites", *system)
     p.add_argument("--sites", nargs=2, required=True, metavar=("X", "Y"))
@@ -566,9 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("kernel", cmd_kernel, "invariance kernel over a lattice window",
             "--interaction")
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_int_flag, required=True)
     p.add_argument("--window", help="a:b window bounds (use --window=-6:6 form)")
-    p.add_argument("--k", type=int, help="interaction range for --window")
+    p.add_argument("--k", type=_int_flag, help="interaction range for --window")
     p.add_argument("--graph")
     p.add_argument("--base")
 

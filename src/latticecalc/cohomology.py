@@ -226,9 +226,18 @@ def _inner_window(graph: SiteGraph, radius: int) -> tuple[int, int]:
 def _kernel_unknowns(phi: Interaction, radius: int, graph: SiteGraph, base: int):
     """Unknowns (λ, entry): boundary supports (not inside the inner window)
     first, so the inner unknowns are one suffix; within each group the order
-    is (size, sites), then entry."""
+    is (size, sites), then entry.
+
+    The cap is checked before they are listed: a support starting at x adds
+    any of the m_x window sites in (x, x + k·R], and each of its sites takes
+    n − 1 values, so there are (n − 1)·Σ_x n^(m_x) unknowns."""
+    n, (a, b) = phi.states.n, graph.window
+    count = (n - 1) * sum(n ** min(graph.k * radius, b - x) for x in range(a, b + 1))
+    limit = caps.current().max_unknowns
+    if count > limit:
+        raise CapExceededError(f"{count} unknowns exceed cap {limit}")
     lo, hi = _inner_window(graph, radius)
-    nonbase = [s for s in range(phi.states.n) if s != base]
+    nonbase = [s for s in range(n) if s != base]
     supports = _candidate_supports(graph, radius)
     supports.sort(key=lambda lam: lo <= lam[0] and lam[-1] <= hi)
     unknowns = []
@@ -364,9 +373,6 @@ def invariance_kernel(
     if hi - lo < 1:
         raise WindowTooSmallError(f"inner window [{lo}, {hi}] holds no edge")
     unknowns = _kernel_unknowns(phi, radius, graph, base)
-    limit = caps.current().max_unknowns
-    if len(unknowns) > limit:
-        raise CapExceededError(f"{len(unknowns)} unknowns exceed cap {limit}")
     uid = {key: i for i, key in enumerate(unknowns)}
     reducer = linalg.RowReducer()
     for row in _kernel_rows(phi, radius, graph, base, uid):

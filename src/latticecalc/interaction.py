@@ -22,7 +22,7 @@ from .errors import (
     SchemaError,
     UnknownStateError,
 )
-from .rationals import ensure_fraction, format_rational
+from .rationals import ensure_fraction, format_rational, parse_int
 from .sitegraph import breadth_first, path_to
 
 PairIdx = tuple[int, int]
@@ -340,10 +340,10 @@ def builtin_interaction(name: str) -> Interaction:
     if name == "exclusion":
         return _multispecies(1)
     if name.startswith("multispecies:"):
-        raw = name.split(":", 1)[1]
-        if not raw.isdigit() or int(raw) < 1:
-            raise SchemaError(f"bad species count in {name!r}")
-        return _multispecies(int(raw))
+        bad = f"bad species count in {name!r}"
+        if (kappa := parse_int(name.partition(":")[2], bad)) < 1:
+            raise SchemaError(bad)
+        return _multispecies(kappa)
     if name == "two-species-ac":
         return _two_species_annihilation_creation()
     if name == "quastel2":

@@ -36,6 +36,17 @@ def _sorted_support(sites) -> tuple[Site, ...]:
         raise SupportError(f"support sites are not mutually orderable: {exc}") from exc
 
 
+def _table_size(states: StateSpace, arity: int) -> int:
+    """n ** arity, once the support and table caps allow that many entries."""
+    limits = caps.current()
+    if arity > limits.max_support:
+        raise CapExceededError(f"support of {arity} sites exceeds cap {limits.max_support}")
+    size = states.n ** arity
+    if size > limits.max_table:
+        raise CapExceededError(f"table of {size} entries exceeds cap {limits.max_table}")
+    return size
+
+
 class LocalFunction(Record):
     states: StateSpace
     support: tuple[Site, ...]
@@ -44,14 +55,7 @@ class LocalFunction(Record):
     def __post_init__(self) -> None:
         if self.support != _sorted_support(self.support):
             raise SupportError("support must be sorted and duplicate-free")
-        limits = caps.current()
-        if len(self.support) > limits.max_support:
-            raise CapExceededError(
-                f"support of {len(self.support)} sites exceeds cap {limits.max_support}"
-            )
-        size = self.states.n ** len(self.support)
-        if size > limits.max_table:
-            raise CapExceededError(f"table of {size} entries exceeds cap {limits.max_table}")
+        size = _table_size(self.states, len(self.support))
         if len(self.table) != size:
             raise SchemaError(
                 f"table needs {size} entries for {len(self.support)} sites, got {len(self.table)}"
@@ -90,6 +94,7 @@ class LocalFunction(Record):
         cls, states: StateSpace, support, fn: Callable[[Assignment], object]
     ) -> "LocalFunction":
         supp = _sorted_support(support)
+        _table_size(states, len(supp))
         table = tuple(
             ensure_fraction(fn(a)) for a in product(range(states.n), repeat=len(supp))
         )
@@ -115,7 +120,7 @@ class LocalFunction(Record):
         return cls(
             states=states,
             support=supp,
-            table=tuple([Fraction(0)] * states.n ** len(supp)),
+            table=(Fraction(0),) * _table_size(states, len(supp)),
         )
 
     @classmethod

@@ -1,4 +1,4 @@
-"""Exact rational scalars and their canonical string form ("p/q" or "n")."""
+"""Integers and exact rationals read from text; canonical "p/q" or "n" form."""
 
 from __future__ import annotations
 
@@ -7,17 +7,25 @@ from fractions import Fraction
 
 from .errors import SchemaError
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_INT_RE = re.compile("-?[0-9]+")
+_RATIONAL_RE = re.compile(_INT_RE.pattern + "(/[1-9][0-9]*)?")
+
+
+def parse_int(text: str, message: str = "") -> int:
+    """The integer ``text`` spells as ASCII ``-?[0-9]+``; anything else (a
+    "+", whitespace, "_", another digit) raises ``SchemaError(message)``."""
+    if isinstance(text, str) and _INT_RE.fullmatch(text):
+        return int(text)
+    raise SchemaError(message or f"invalid int value: {text!r}")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal: "p/q" with q > 0, or an integer "n"."""
     if not isinstance(text, str):
         raise SchemaError(f"rational literals are strings, got {type(text).__name__}")
-    stripped = text.strip()
-    if not _RATIONAL_RE.match(stripped):
+    if not _RATIONAL_RE.fullmatch(text):
         raise SchemaError(f"not a rational literal: {text!r}")
-    return Fraction(stripped)
+    return Fraction(text)
 
 
 def format_rational(value: Fraction) -> str:

@@ -20,6 +20,7 @@ from .errors import (
     SchemaError,
     UnknownVertexError,
 )
+from .rationals import parse_int
 
 Site = int | str
 
@@ -91,18 +92,13 @@ class SiteGraph(Record):
 
     def parse_site(self, token) -> Site:
         """The site a document or command-line token names, not checked for
-        membership: integer-vertex graphs read decimal strings as integers."""
-        if isinstance(self.vertices[0], str):
-            if isinstance(token, str):
-                return token
-        elif type(token) is int:
+        membership: integer-vertex graphs read strings through ``parse_int``."""
+        site_type, bad = type(self.vertices[0]), f"{token!r} cannot name a site of this graph"
+        if type(token) is site_type:
             return token
-        elif isinstance(token, str):
-            try:
-                return int(token)
-            except ValueError:
-                pass
-        raise SchemaError(f"{token!r} cannot name a site of this graph")
+        if site_type is int and isinstance(token, str):
+            return parse_int(token, bad)
+        raise SchemaError(bad)
 
     def unordered_edges(self) -> list[tuple[Site, Site]]:
         """Each edge once, endpoints sorted, the list sorted."""

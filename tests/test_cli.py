@@ -6,6 +6,7 @@ and fail with machine-parsable one-line errors on the right exit status.
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -569,6 +570,34 @@ def test_bad_or_missing_flags_are_schema_errors(capsys, workdir, monkeypatch, ar
     assert err.count("\n") == 1
     error = json.loads(err)["error"]
     assert error["code"] == "schema" and named in error["message"]
+
+
+@pytest.mark.parametrize("radius,count", [(10, 114687), (12, 450559), (14, 1769471),
+                                          (16, 6946815), (18, 27262975)])
+def test_kernel_refuses_too_many_unknowns_before_listing_them(capsys, monkeypatch, radius,
+                                                              count):
+    monkeypatch.delenv("LATTICECALC_CAPS", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "kernel", "--interaction", "exclusion",
+                         "--radius", str(radius), "--window=-60:60")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and not out
+    assert err == _dumps({"error": {"code": "cap-exceeded",
+                                    "message": f"{count} unknowns exceed cap 20000"}}) + "\n"
+
+
+def test_expand_refuses_a_support_over_the_cap_before_building_its_table(capsys, tmp_path,
+                                                                         monkeypatch):
+    monkeypatch.delenv("LATTICECALC_CAPS", raising=False)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"states": ["0", "1"], "base": "0",
+                                "support": list(range(40)), "table": {}}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "expand", "--function", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == {"code": "cap-exceeded",
+                                        "message": "support of 40 sites exceeds cap 12"}
 
 
 @pytest.mark.parametrize("command,doc", [

@@ -141,6 +141,22 @@ def test_enumeration_cap():
         h0_h1_finite(builtin_interaction("multispecies:3"), path_graph(12))
 
 
+@pytest.mark.parametrize("name", ["exclusion", "multispecies:2", "two-species-ac"])
+@pytest.mark.parametrize("k,radius,window", [(1, 0, (-2, 2)), (1, 1, (-4, 4)),
+                                             (2, 1, (-5, 6)), (1, 2, (-6, 7))])
+def test_the_unknowns_cap_counts_exactly_the_listed_unknowns(monkeypatch, name, k,
+                                                             radius, window):
+    """The closed-form count checked before listing is the length of the list."""
+    phi, graph = builtin_interaction(name), lattice_window(k, *window)
+    monkeypatch.delenv("LATTICECALC_CAPS", raising=False)
+    count = len(_kernel_unknowns(phi, radius, graph, 0))
+    monkeypatch.setenv("LATTICECALC_CAPS", f"max_unknowns={count}")
+    assert len(_kernel_unknowns(phi, radius, graph, 0)) == count
+    monkeypatch.setenv("LATTICECALC_CAPS", f"max_unknowns={count - 1}")
+    with pytest.raises(errors.CapExceededError, match=f"^{count} unknowns exceed cap {count - 1}$"):
+        _kernel_unknowns(phi, radius, graph, 0)
+
+
 @pytest.mark.parametrize(
     "name", ["exclusion", "multispecies:2", "multispecies:3", "two-species-ac", "quastel2"]
 )

@@ -7,6 +7,7 @@ subset-induction implementation.
 """
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,23 @@ def test_support_cap_enforced(monkeypatch):
     monkeypatch.setenv("LATTICECALC_CAPS", "max_table=8")
     with pytest.raises(errors.CapExceededError):
         LocalFunction.zero(ST3, (0, 1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda support: LocalFunction.from_function(ST2, support, lambda a: 0),
+    lambda support: LocalFunction.from_entries(ST2, support, {}),
+    lambda support: LocalFunction.zero(ST2, support),
+], ids=["from_function", "from_entries", "zero"])
+def test_caps_are_checked_before_a_table_is_built(monkeypatch, build):
+    monkeypatch.delenv("LATTICECALC_CAPS", raising=False)
+    start = time.perf_counter()
+    with pytest.raises(errors.CapExceededError, match="^support of 40 sites exceeds cap 12$"):
+        build(range(40))
+    monkeypatch.setenv("LATTICECALC_CAPS", "max_support=40")
+    with pytest.raises(errors.CapExceededError,
+                       match=f"^table of {2 ** 40} entries exceeds cap {2 ** 20}$"):
+        build(range(40))
+    assert time.perf_counter() - start < 1
 
 
 def test_exact_support_rejects_base_mass():
