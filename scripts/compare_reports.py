@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Check that two source trees answer every benchmark op byte for byte alike.
+
+Each workload of ``perfbench/workloads.py`` is built at each seed, its input
+files are written once into a scratch directory, and every op, the warm-up
+included, runs once under each tree's ``src``.  Stdout, stderr and exit
+status must be identical.  One line is printed per difference, and the exit
+status is 1 when there is any.
+
+Example, from the root of a checkout, against a copy of the parent commit:
+
+    python3 scripts/compare_reports.py ../parent . --seeds 23 5
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.dont_write_bytecode = True  # leave no cache files in perfbench/
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402
+
+BOOT = "import sys; from latticecalc.cli import main; sys.exit(main(sys.argv[1:]))"
+OP_TIMEOUT_S = 120
+
+
+def run_op(root: Path, argv, cwd: Path, pycache: Path):
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("PYTHON", "LATTICECALC"))}
+    env.update(PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0",
+               PYTHONPYCACHEPREFIX=str(pycache))
+    done = subprocess.run([sys.executable, "-c", BOOT, *argv], cwd=cwd, env=env,
+                          stdin=subprocess.DEVNULL, capture_output=True,
+                          timeout=OP_TIMEOUT_S)
+    return done.stdout, done.stderr, done.returncode
+
+
+def compare(old: Path, new: Path, name: str, seed: int, scratch: Path) -> tuple[int, int]:
+    """Print one line per op and stream on which the trees differ; return the
+    number of ops run and of differences."""
+    wl = workloads.build(name, seed)
+    ops = [wl.warmup, *wl.ops]
+    cwd = scratch / f"{name}-{seed}"
+    cwd.mkdir()
+    for op in ops:
+        for fname, text in op.files.items():
+            (cwd / fname).write_text(text, encoding="utf-8")
+    differences = 0
+    for i, op in enumerate(ops):
+        before = run_op(old, op.argv, cwd, scratch / "pycache-old")
+        after = run_op(new, op.argv, cwd, scratch / "pycache-new")
+        for what, a, b in zip(("stdout", "stderr", "exit status"), before, after):
+            if a != b:
+                print(f"{name} seed {seed} op {i} ({' '.join(op.argv)}): {what} differs")
+                differences += 1
+    return len(ops), differences
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", type=Path, help="root of the reference tree")
+    parser.add_argument("new", type=Path, help="root of the tree under test")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[23, 5])
+    parser.add_argument("--workloads", nargs="+", choices=workloads.WORKLOADS,
+                        default=list(workloads.WORKLOADS))
+    args = parser.parse_args(argv)
+    for root in (args.old, args.new):
+        if not (root / "src" / "latticecalc" / "cli.py").is_file():
+            parser.error(f"no latticecalc sources under {root}")
+    differences = ops = 0
+    with tempfile.TemporaryDirectory(prefix="compare-reports-") as scratch:
+        for name in args.workloads:
+            for seed in args.seeds:
+                count, found = compare(args.old.resolve(), args.new.resolve(),
+                                       name, seed, Path(scratch))
+                ops += count
+                differences += found
+    print(f"{ops} ops on {len(args.workloads)} workloads, {differences} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -248,7 +248,7 @@ def _kernel_unknowns(phi: Interaction, radius: int, graph: SiteGraph, base: int)
 
 
 def _kernel_rows(phi: Interaction, radius: int, graph: SiteGraph, base: int, uid: dict):
-    """Constraint rows: one per (transition at an inner edge, admissible
+    """Constraint rows: one per (unordered move at an inner edge, admissible
     pattern); their span is the span of the rows of every configuration.
 
     Fix an inner edge (x, y), the states at x and y, and a move there.  The
@@ -272,10 +272,10 @@ def _kernel_rows(phi: Interaction, radius: int, graph: SiteGraph, base: int, uid
     for each candidate λ ⊆ nonbase(B) meeting Δ; a λ is a candidate exactly
     when its key is in ``uid``.  Nothing cancels: A|λ ≠ B|λ when λ meets Δ,
     and distinct λ are distinct columns.  So every entry is ±1, and the
-    singleton of a changed site makes every row nonempty.
-
-    Patterns come edge by edge in order of (|S|, S), then values: rows of
-    small patterns first keep the elimination's fill low.
+    singleton of a changed site makes every row nonempty.  The move from A
+    back to B (A is admissible too) has the negated row, so only moves with
+    (c, d) > (s, t) fire.  Patterns come edge by edge in order of (|S|, S),
+    then values: rows of small patterns first keep the elimination's fill low.
     """
     lo, hi = _inner_window(graph, radius)
     states = range(phi.states.n)
@@ -307,7 +307,7 @@ def _kernel_rows(phi: Interaction, radius: int, graph: SiteGraph, base: int, uid
                 pattern = dict(zip(sites, values))
                 pattern[x], pattern[y] = s, t
                 for _, _, (c, d) in phi.edge_moves[(s, t)]:
-                    if (c, d) == (s, t):
+                    if (c, d) <= (s, t):
                         continue
                     after = {**pattern, x: c, y: d}
                     delta = {site for site, old, new in ((x, s, c), (y, t, d)) if old != new}

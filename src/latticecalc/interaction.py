@@ -22,7 +22,7 @@ from .errors import (
     SchemaError,
     UnknownStateError,
 )
-from .rationals import ensure_fraction, format_rational, parse_int
+from .rationals import ensure_fraction, format_rational, parse_int, parse_list
 from .sitegraph import breadth_first, path_to
 
 PairIdx = tuple[int, int]
@@ -138,17 +138,14 @@ def load_interaction(doc: dict) -> Interaction:
     if not isinstance(doc, dict):
         raise SchemaError("interaction document must be an object")
     try:
-        labels = doc["states"]
-        raw_edges = list(doc["edges"])
-    except (KeyError, TypeError) as exc:
+        labels, raw_edges = doc["states"], doc["edges"]
+    except KeyError as exc:
         raise SchemaError(f"interaction document needs 'states' and 'edges': {exc}") from exc
     states = state_space(labels, doc.get("base"))
     edges = []
-    for item in raw_edges:
-        try:
-            (a, b), (c, d) = item
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad edge entry {item!r}") from exc
+    for item in parse_list(raw_edges, "interaction 'edges' must be a list"):
+        bad = f"bad edge entry {item!r}: not a list of two pairs of two labels"
+        (a, b), (c, d) = (parse_list(pair, bad, 2) for pair in parse_list(item, bad, 2))
         edges.append(
             ((states.index(a), states.index(b)), (states.index(c), states.index(d)))
         )
@@ -272,15 +269,15 @@ class ConservedQuantity(Record):
 def consv_basis(phi: Interaction, base: int) -> list[ConservedQuantity]:
     """Canonical basis of conserved quantities vanishing at the base state.
 
-    The basis is the reduced echelon form (over the declared state order) of
-    the nullspace of the pair-sum constraints together with the base
-    normalization, so equal inputs always produce identical bases.
+    The basis is the reduced echelon form, over the declared state order, of
+    the nullspace of the base row and one pair-sum row per edge from a
+    smaller pair (its reverse negates it): equal inputs give equal bases.
     """
     n = phi.states.n
     if not 0 <= base < n:
         raise UnknownStateError(f"state index {base} out of range")
     rows: list[dict[int, int]] = [{base: 1}]
-    for (a, b), (c, d) in sorted(phi.edges):
+    for (a, b), (c, d) in sorted(e for e in phi.edges if e[0] < e[1]):
         row: dict[int, int] = {}
         for idx, sign in ((a, 1), (b, 1), (c, -1), (d, -1)):
             new = row.get(idx, 0) + sign

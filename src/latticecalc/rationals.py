@@ -1,4 +1,5 @@
-"""Integers and exact rationals read from text; canonical "p/q" or "n" form."""
+"""Integers and exact rationals read from text, canonical "p/q" or "n"
+form, and the lists of input documents."""
 
 from __future__ import annotations
 
@@ -17,6 +18,14 @@ def parse_int(text: str, message: str = "") -> int:
     if isinstance(text, str) and _INT_RE.fullmatch(text):
         return int(text)
     raise SchemaError(message or f"invalid int value: {text!r}")
+
+
+def parse_list(value, message: str, size: int | None = None) -> list:
+    """``value`` if it is a JSON list, of ``size`` entries when given; anything
+    else (a string, a tuple, an object) raises ``SchemaError(message)``."""
+    if type(value) is list and size in (None, len(value)):
+        return value
+    raise SchemaError(message)
 
 
 def parse_rational(text: str) -> Fraction:

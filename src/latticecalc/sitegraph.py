@@ -20,7 +20,7 @@ from .errors import (
     SchemaError,
     UnknownVertexError,
 )
-from .rationals import parse_int
+from .rationals import parse_int, parse_list
 
 Site = int | str
 
@@ -235,21 +235,19 @@ def load_graph(doc: dict) -> SiteGraph:
         raise SchemaError("graph document needs a 'kind'")
     kind = doc["kind"]
     if kind == LATTICE_Z:
-        try:
-            a, b = doc["window"]
-            return lattice_window(doc.get("k", 1), a, b)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad lattice document: {exc}") from exc
+        a, b = parse_list(doc.get("window"), "a lattice 'window' must list two integers", 2)
+        return lattice_window(doc.get("k", 1), a, b)
     if kind == PATH:
         return path_graph(doc.get("n", 0))
     if kind == CYCLE:
         return cycle_graph(doc.get("n", 0))
     if kind == EXPLICIT:
+        vertices = parse_list(doc.get("vertices"), "explicit graph 'vertices' must be a list")
+        bad = "explicit graph 'edges' must be a list of two-vertex lists"
+        edges = [tuple(parse_list(e, bad, 2)) for e in parse_list(doc.get("edges"), bad)]
         try:
-            vertices = list(doc["vertices"])
-            edges = [(x, y) for x, y in doc["edges"]]
             return explicit_graph(vertices, edges, doc.get("symmetry", "lenient"))
-        except (KeyError, TypeError, ValueError) as exc:
+        except TypeError as exc:
             raise SchemaError(f"bad explicit graph document: {exc}") from exc
     raise SchemaError(f"unknown graph kind {kind!r}")
 

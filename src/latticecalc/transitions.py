@@ -14,6 +14,7 @@ from itertools import accumulate, repeat
 from . import caps
 from .errors import MismatchError, Record, SchemaError, UnknownVertexError
 from .interaction import Interaction, PhiEdge, StateSpace, pair_exchange_path
+from .rationals import parse_list
 from .sitegraph import Site, SiteGraph, shortest_path
 from .uniform import Configuration, UniformFunction, configuration, difference
 
@@ -70,9 +71,8 @@ def _read_move(doc, phi: Interaction, graph: SiteGraph, states: StateSpace):
         fields = doc["edge"], doc["from"], doc["to"]
     except KeyError as exc:
         raise SchemaError(f"transition document needs edge/from/to: {exc}") from exc
-    if not all(type(v) is list and len(v) == 2 for v in fields):
-        raise SchemaError("transition edge/from/to must each list two entries")
-    (x, y), from_labels, to_labels = fields
+    bad = "transition edge/from/to must each list two entries"
+    (x, y), from_labels, to_labels = (parse_list(v, bad, 2) for v in fields)
     x, y = graph.parse_site(x), graph.parse_site(y)
     phi_edge = (
         (states.index(from_labels[0]), states.index(from_labels[1])),
@@ -140,13 +140,14 @@ class ConfigCode:
 
 def neighbors(phi: Interaction, eta: Configuration) -> list[Transition]:
     """Single transitions out of ``eta``, in ``ConfigCode.fire`` order:
-    edges sorted, both orientations, each reachable configuration once."""
+    ``Interaction.edge_moves`` at each edge x < y, edges sorted, a flipped
+    move fired as (y, x); each reachable configuration once."""
     if eta.states != phi.states:
         raise MismatchError("configuration built over a different state space")
-    codes = ConfigCode(phi, eta.graph)
     return [
-        _transition(eta, edge, phi_edge)
-        for edge, phi_edge, _ in codes.fire(codes.encode(eta))
+        _transition(eta, (y, x) if flipped else (x, y), phi_edge)
+        for x, y in eta.graph.unordered_edges()
+        for flipped, phi_edge, _ in phi.edge_moves[(eta.state_at(x), eta.state_at(y))]
     ]
 
 

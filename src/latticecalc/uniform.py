@@ -33,7 +33,7 @@ from .errors import (
 )
 from .interaction import ConservedQuantity, StateSpace
 from .localfn import ExactSupportFunction, LocalFunction, assemble, expand
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_list, parse_rational
 from .sitegraph import LATTICE_Z, Site, SiteGraph, ball, diameter_of
 
 EXPLICIT = "explicit"
@@ -465,7 +465,7 @@ def rebase(f: UniformFunction, new_base: int) -> UniformFunction:
 
 def _document_support(raw) -> tuple:
     """Validate a document's support listing (must be ascending, no repeats)."""
-    support = tuple(raw)
+    support = tuple(parse_list(raw, "a local function's 'support' must be a list"))
     try:
         ordered = tuple(sorted(set(support)))
     except TypeError as exc:

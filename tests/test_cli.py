@@ -726,6 +726,34 @@ def test_explicit_graph_with_mixed_vertex_types_is_a_schema_error(capsys, tmp_pa
     assert json.loads(err)["error"]["code"] == "schema"
 
 
+PATH3 = {"kind": "explicit", "vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}
+
+
+@pytest.mark.parametrize("argv,name,doc", [
+    (["consv", "--interaction"], "i.json",
+     {"states": ["0", "1"], "base": "0", "edges": [["01", "10"]]}),
+    (["h0", "--interaction", "exclusion", "--graph"], "g.json",
+     {**PATH3, "vertices": "abc"}),
+    (["h0", "--interaction", "exclusion", "--graph"], "g.json",
+     {**PATH3, "edges": ["ab", "bc"]}),
+    (["expand", "--function"], "f.json",
+     {"states": ["0", "1"], "base": "0", "support": "ab", "table": {"1,1": "1"}}),
+    (["extract", "--interaction", "exclusion", "--function"], "f.json",
+     {"states": ["0", "1"], "base": "0", "graph": PATH3, "kind": "explicit",
+      "radius": 1, "components": [{"support": "ab", "table": {"1,1": "1"}}]}),
+], ids=["interaction-edge", "graph-vertices", "graph-edges", "support", "component-support"])
+def test_a_string_is_not_a_document_list(capsys, tmp_path, argv, name, doc):
+    """Read character by character, each string here would name a list: the
+    edge ((0, 1), (1, 0)), the vertices a, b, c, the edges a~b and b~c, and
+    the support (a, b)."""
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1 and not out
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["code"] == "schema"
+
+
 @pytest.mark.parametrize("n", ["abc", 4.9], ids=["str", "float"])
 def test_graph_document_with_a_non_integer_size_is_a_schema_error(capsys, tmp_path, n):
     path = tmp_path / "g.json"

@@ -16,7 +16,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticecalc import errors
+from latticecalc import errors, linalg
 from latticecalc.interaction import (
     ConservedQuantity,
     builtin_interaction,
@@ -225,6 +225,40 @@ def random_interactions():
         return make_interaction(states, chosen, symmetry="lenient")
 
     return build()
+
+
+def reference_consv_vectors(phi, base):
+    """``consv_basis`` as it was: a pair-sum row for every directed edge, so
+    each unordered edge twice, once negated."""
+    rows = [{base: 1}]
+    for (a, b), (c, d) in sorted(phi.edges):
+        row = {}
+        for idx, sign in ((a, 1), (b, 1), (c, -1), (d, -1)):
+            new = row.get(idx, 0) + sign
+            if new:
+                row[idx] = new
+            else:
+                row.pop(idx, None)
+        if row:
+            rows.append(row)
+    return linalg.nullspace(rows, phi.states.n)
+
+
+def assert_consv_matches_every_directed_edge(phi):
+    for base in range(phi.states.n):
+        got = [xi.values for xi in consv_basis(phi, base)]
+        assert got == reference_consv_vectors(phi, base)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_consv_basis_matches_the_rows_of_every_directed_edge(name):
+    assert_consv_matches_every_directed_edge(builtin_interaction(name))
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_interactions())
+def test_consv_basis_matches_the_rows_of_every_directed_edge_for_generated(phi):
+    assert_consv_matches_every_directed_edge(phi)
 
 
 @settings(deadline=None, max_examples=40)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -41,3 +43,23 @@ def test_kernel_stabilization_runs_at_radius_two():
 def test_survey_builtins_prints_finite_h0_and_h1():
     out = run_script("survey_builtins.py", "--interactions", "exclusion")
     assert "h0 4, h1 0" in out
+
+
+def test_compare_reports_finds_no_difference_between_a_tree_and_itself():
+    out = run_script("compare_reports.py", str(ROOT), str(ROOT), "--seeds", "23",
+                     "--workloads", "kernel")
+    assert out == "7 ops on 1 workloads, 0 differences\n"
+
+
+def test_compare_reports_names_every_op_another_tree_answers_differently(tmp_path):
+    fake = tmp_path / "src" / "latticecalc"
+    fake.mkdir(parents=True)
+    (fake / "__init__.py").write_text("")
+    (fake / "cli.py").write_text("def main(argv):\n    print('{}')\n    return 0\n")
+    with pytest.raises(subprocess.CalledProcessError) as failed:
+        run_script("compare_reports.py", str(ROOT), str(tmp_path), "--seeds", "23",
+                   "--workloads", "kernel")
+    lines = failed.value.stdout.splitlines()
+    assert failed.value.returncode == 1
+    assert len(lines) == 8 and all(" stdout differs" in line for line in lines[:7])
+    assert lines[-1] == "7 ops on 1 workloads, 7 differences"

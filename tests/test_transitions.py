@@ -550,6 +550,36 @@ def test_transition_documents_need_lists_of_two_entries(doc):
         codes.apply(codes.read(doc), codes.encode(eta))
 
 
+NEIGHBOR_GRAPHS = {
+    "path": path_graph(4),
+    "cycle": cycle_graph(4),
+    "strings": explicit_graph(["c", "a", "b"], [("c", "a"), ("a", "b")]),
+    "lattice-k2": lattice_window(2, -2, 1),
+}
+
+
+def assert_neighbors_fire_as_codes(phi, graph):
+    """``neighbors`` lists what ``ConfigCode.fire`` yields, in its order,
+    from every configuration of ``graph`` at every base."""
+    codes = ConfigCode(phi, graph)
+    for base, code in itertools.product(range(phi.states.n), range(codes.size)):
+        eta = codes.decode(code, base)
+        got = [(t.edge, t.phi_edge, codes.encode(t.after)) for t in neighbors(phi, eta)]
+        assert got == list(codes.fire(code))
+
+
+@pytest.mark.parametrize("graph", NEIGHBOR_GRAPHS.values(), ids=NEIGHBOR_GRAPHS.keys())
+@pytest.mark.parametrize("name", BUILTINS)
+def test_neighbors_fire_as_the_codes_do(name, graph):
+    assert_neighbors_fire_as_codes(builtin_interaction(name), graph)
+
+
+@settings(max_examples=40, deadline=None)
+@given(phi=small_interactions(), graph=st.sampled_from(list(NEIGHBOR_GRAPHS.values())))
+def test_neighbors_fire_as_the_codes_do_for_random_interactions(phi, graph):
+    assert_neighbors_fire_as_codes(phi, graph)
+
+
 def reference_fire(codes, code):
     """``ConfigCode.fire`` as it was before its moves were tabulated: read
     both digits at each sorted edge, then orient and offset every move."""
