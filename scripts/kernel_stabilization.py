@@ -31,11 +31,11 @@ def run(names, lengths, radius):
         for length in lengths:
             a = -(length // 2)
             graph = lattice_window(1, a, a + length)
-            t0 = time.time()
+            t0 = time.perf_counter()
             rep = invariance_kernel(phi, radius, graph, base)
             print(f"  {length:>6}  [{a:>3},{a + length:>3}]  "
                   f"{rep.unknown_count:>8}  {rep.constraint_rank:>5}  "
-                  f"{rep.dimension:>4}  {time.time() - t0:>6.2f}")
+                  f"{rep.dimension:>4}  {time.perf_counter() - t0:>6.2f}")
         print()
 
 

@@ -129,19 +129,23 @@ def _graph_arg(token: str, inputs: dict) -> SiteGraph:
     return load_graph(doc)
 
 
-def _function_file(path: str, inputs: dict, graph_arg: str | None = None):
-    """Load a uniform-function file with embedded states (and usually graph)."""
+def _function_file(path: str, inputs: dict, graph_arg: str | None = None, states=None):
+    """Load a uniform-function file with embedded states (and usually graph),
+    over ``states`` if given: the labels must agree, the base may differ."""
     doc, digest = _read_json(path)
     inputs["function"] = digest
     if not isinstance(doc, dict) or "states" not in doc or "base" not in doc:
         raise SchemaError(f"{path} needs embedded 'states' and 'base'")
-    states = state_space(doc["states"], doc["base"])
+    own = state_space(doc["states"], doc["base"])
     if graph_arg is not None:
         graph = _graph_arg(graph_arg, inputs)
     elif "graph" in doc:
         graph = load_graph(doc["graph"])
     else:
         raise SchemaError(f"{path} embeds no 'graph' and no --graph was given")
+    states = states or own
+    if states.labels != own.labels:
+        raise MismatchError("function and interaction disagree on the state space")
     return load_uniform(doc, states, graph), states, graph
 
 
@@ -387,9 +391,7 @@ def cmd_swap_path(args) -> int:
 def cmd_invariant(args) -> int:
     inputs: dict = {}
     phi = _interaction_arg(args.interaction, inputs)
-    fn, states, graph = _function_file(args.function, inputs, args.graph)
-    if states != phi.states:
-        raise MismatchError("function and interaction disagree on the state space")
+    fn, states, graph = _function_file(args.function, inputs, args.graph, phi.states)
     probes = []
     for i, path in enumerate(args.probe or []):
         probes.append(_config_file(path, states, graph, inputs, f"probe{i}"))
@@ -428,9 +430,7 @@ def cmd_h0(args) -> int:
 def cmd_extract(args) -> int:
     inputs: dict = {}
     phi = _interaction_arg(args.interaction, inputs)
-    fn, states, _ = _function_file(args.function, inputs, args.graph)
-    if states != phi.states:
-        raise MismatchError("function and interaction disagree on the state space")
+    fn, states, _ = _function_file(args.function, inputs, args.graph, phi.states)
     result = extract_conserved(fn, phi)
     labels = states.labels
     witness = None

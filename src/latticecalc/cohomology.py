@@ -198,17 +198,13 @@ class KernelReport(Record):
     basis: tuple[UniformFunction, ...]
 
 
-def _candidate_supports(graph: SiteGraph, radius: int) -> list[tuple[int, ...]]:
-    """Nonempty site sets of diameter <= radius, sorted by (size, sites).
-
-    On a range-k lattice the diameter condition is exactly span <= k * radius.
-    """
-    verts = list(graph.vertices)
-    vset = set(verts)
-    reach = graph.k * radius
+def _candidate_supports(a: int, b: int, reach: int) -> list[tuple[int, ...]]:
+    """Nonempty sets of sites in [a, b] spanning at most ``reach``, sorted by
+    (size, sites): on a range-k lattice window, the sets of diameter <= R
+    when ``reach`` is k·R."""
     out = []
-    for x in verts:
-        others = [y for y in range(x + 1, x + reach + 1) if y in vset]
+    for x in range(a, b + 1):
+        others = range(x + 1, min(x + reach, b) + 1)
         for r in range(len(others) + 1):
             for combo in combinations(others, r):
                 out.append((x, *combo))
@@ -231,14 +227,14 @@ def _kernel_unknowns(phi: Interaction, radius: int, graph: SiteGraph, base: int)
     The cap is checked before they are listed: a support starting at x adds
     any of the m_x window sites in (x, x + k·R], and each of its sites takes
     n − 1 values, so there are (n − 1)·Σ_x n^(m_x) unknowns."""
-    n, (a, b) = phi.states.n, graph.window
-    count = (n - 1) * sum(n ** min(graph.k * radius, b - x) for x in range(a, b + 1))
+    n, (a, b), reach = phi.states.n, graph.window, graph.k * radius
+    count = (n - 1) * sum(n ** min(reach, b - x) for x in range(a, b + 1))
     limit = caps.current().max_unknowns
     if count > limit:
         raise CapExceededError(f"{count} unknowns exceed cap {limit}")
     lo, hi = _inner_window(graph, radius)
     nonbase = [s for s in range(n) if s != base]
-    supports = _candidate_supports(graph, radius)
+    supports = _candidate_supports(a, b, reach)
     supports.sort(key=lambda lam: lo <= lam[0] and lam[-1] <= hi)
     unknowns = []
     for lam in supports:
@@ -247,73 +243,73 @@ def _kernel_unknowns(phi: Interaction, radius: int, graph: SiteGraph, base: int)
     return unknowns
 
 
-def _kernel_rows(phi: Interaction, radius: int, graph: SiteGraph, base: int, uid: dict):
-    """Constraint rows: one per (unordered move at an inner edge, admissible
-    pattern); their span is the span of the rows of every configuration.
+def _template_rows(phi: Interaction, reach: int, j: int, base: int):
+    """Constraint rows at the edge (0, j) of the lattice, keyed by (support,
+    entry) relative to 0: one per unordered move there and admissible
+    pattern.  Their span is that of the rows of every configuration.
 
-    Fix an inner edge (x, y), the states at x and y, and a move there.  The
-    row of a configuration P is the sum, over candidate supports λ meeting
-    {x, y}, of a term that depends on P only through P on λ∖{x, y}.  Write
-    S for the non-base sites of P outside {x, y} and P|T for P with every
-    site of S∖T set to base.  Möbius inversion over subsets of S gives
-    row(P) = Σ_{T⊆S} G_T with G_T = Σ_{U⊆T} (-1)^{|T|-|U|} row(P|U), and
-    G_T vanishes unless T ⊆ λ∖{x, y} for some λ, so unless T ∪ {x} or
-    T ∪ {y} spans at most k·R.  Call such T *admissible*; every subset of
-    one is too.  So the row of any configuration, of any size, is a signed
-    sum of rows of the admissible patterns P|U, which are themselves
-    configurations, and the kernel is exact over every configuration.  Such
-    a T is λ∖{x, y} for the candidate λ = T ∪ {x} or T ∪ {y}, which lies in
-    the window since the fired edge is inner, and λ∖{x, y} is admissible for
-    every candidate λ through x or y: the patterns at (x, y) are read off
-    those supports.
+    Fix the states at 0 and j and a move there.  The row of a configuration
+    P sums, over candidate supports λ (span <= ``reach``) meeting {0, j}, a
+    term that depends on P only through P on λ∖{0, j}.  Write S for the
+    non-base sites of P outside {0, j} and P|T for P with every site of S∖T
+    set to base.  Möbius inversion over subsets of S gives row(P) =
+    Σ_{T⊆S} G_T with G_T = Σ_{U⊆T} (-1)^{|T|-|U|} row(P|U), and G_T
+    vanishes unless T ⊆ λ∖{0, j} for some λ, so unless T ∪ {0} or T ∪ {j}
+    spans at most ``reach``.  Call such T *admissible*; every subset of one
+    is too.  So the row of any configuration, of any size, is a signed sum
+    of rows of the admissible patterns P|U: the λ∖{0, j} of the candidates
+    λ in [−reach, j + reach] through 0 or j.
 
     A move from pattern B to A changes the sites Δ.  Its row is +1 at
     (λ, A|λ) for each candidate λ ⊆ nonbase(A) meeting Δ and −1 at (λ, B|λ)
-    for each candidate λ ⊆ nonbase(B) meeting Δ; a λ is a candidate exactly
-    when its key is in ``uid``.  Nothing cancels: A|λ ≠ B|λ when λ meets Δ,
-    and distinct λ are distinct columns.  So every entry is ±1, and the
-    singleton of a changed site makes every row nonempty.  The move from A
-    back to B (A is admissible too) has the negated row, so only moves with
-    (c, d) > (s, t) fire.  Patterns come edge by edge in order of (|S|, S),
-    then values: rows of small patterns first keep the elimination's fill low.
+    for each candidate λ ⊆ nonbase(B) meeting Δ.  Nothing cancels: A|λ ≠ B|λ
+    when λ meets Δ.  So every entry is ±1, and the singleton of a changed
+    site makes every row nonempty.  The move from A back to B (A is
+    admissible too) has the negated row, so only moves with (c, d) > (s, t)
+    fire.  Patterns come by (|S|, S), then values, to keep fill low.
     """
-    lo, hi = _inner_window(graph, radius)
     states = range(phi.states.n)
     nonbase = [s for s in states if s != base]
-    supports = dict.fromkeys(lam for lam, _ in uid)
 
     def columns(config: dict, order, delta):
-        """Columns (λ, config|λ) of the candidate λ ⊆ nonbase(config) meeting delta."""
+        """Keys (λ, config|λ) of the candidate λ ⊆ nonbase(config) meeting delta."""
         sites = [s for s in order if config[s] != base]
         for r in range(1, len(sites) + 1):
             for lam in combinations(sites, r):
-                if not delta.isdisjoint(lam):
-                    col = uid.get((lam, tuple(config[s] for s in lam)))
-                    if col is not None:
-                        yield col
+                if lam[-1] - lam[0] <= reach and not delta.isdisjoint(lam):
+                    yield lam, tuple(config[s] for s in lam)
 
-    # single transitions whose fired edge sits in the inner window
+    patterns = {
+        tuple(s for s in lam if s != 0 and s != j)
+        for lam in _candidate_supports(-reach, j + reach, reach)
+        if 0 in lam or j in lam
+    }
+    for sites in sorted(patterns, key=lambda sites: (len(sites), sites)):
+        order = sorted((*sites, 0, j))
+        for s, t, *values in product(states, states, *[nonbase] * len(sites)):
+            pattern = dict(zip(sites, values))
+            pattern[0], pattern[j] = s, t
+            for _, _, (c, d) in phi.edge_moves[(s, t)]:
+                if (c, d) <= (s, t):
+                    continue
+                after = {**pattern, 0: c, j: d}
+                delta = {site for site, old, new in ((0, s, c), (j, t, d)) if old != new}
+                row = dict.fromkeys(columns(after, order, delta), 1)
+                row.update(dict.fromkeys(columns(pattern, order, delta), -1))
+                yield row
+
+
+def _kernel_rows(phi: Interaction, radius: int, graph: SiteGraph, base: int, uid: dict):
+    """The rows of ``_template_rows`` at each inner edge (x, y), translated by
+    x into the columns of ``uid``: every candidate support through an inner
+    edge lies in the window, so its rows are those of the whole lattice."""
+    reach = graph.k * radius
+    lo, hi = _inner_window(graph, radius)
+    templates = {j: list(_template_rows(phi, reach, j, base)) for j in range(1, graph.k + 1)}
     for x, y in graph.unordered_edges():
-        if not (lo <= x and y <= hi):
-            continue
-        patterns = {
-            tuple(s for s in lam if s != x and s != y)
-            for lam in supports
-            if x in lam or y in lam
-        }
-        for sites in sorted(patterns, key=lambda sites: (len(sites), sites)):
-            order = sorted((*sites, x, y))
-            for s, t, *values in product(states, states, *[nonbase] * len(sites)):
-                pattern = dict(zip(sites, values))
-                pattern[x], pattern[y] = s, t
-                for _, _, (c, d) in phi.edge_moves[(s, t)]:
-                    if (c, d) <= (s, t):
-                        continue
-                    after = {**pattern, x: c, y: d}
-                    delta = {site for site, old, new in ((x, s, c), (y, t, d)) if old != new}
-                    row = dict.fromkeys(columns(after, order, delta), 1)
-                    row.update(dict.fromkeys(columns(pattern, order, delta), -1))
-                    yield row
+        if lo <= x and y <= hi:
+            for row in templates[y - x]:
+                yield {uid[tuple(s + x for s in lam), e]: v for (lam, e), v in row.items()}
 
 
 def _certify_basis(basis, uid: dict, reducer: linalg.RowReducer) -> None:
@@ -347,7 +343,7 @@ def invariance_kernel(
     Unknowns are the exact-support table entries of all candidate components
     inside the window.  Constraints come from transitions fired inside the
     inner window (so no component pokes outside the window); their span is
-    that of the rows of every configuration, as ``_kernel_rows`` shows.
+    that of the rows of every configuration, as ``_template_rows`` shows.
     Components not contained in the inner window are boundary artifacts; the
     reported basis is the canonical basis of the kernel projected onto the
     inner window, certified by ``_certify_basis`` against every constraint

@@ -100,9 +100,13 @@ class SiteGraph(Record):
             return parse_int(token, bad)
         raise SchemaError(bad)
 
+    @cached_property
+    def _unordered_edges(self) -> tuple[tuple[Site, Site], ...]:
+        return tuple(sorted({tuple(sorted(e)) for e in self.edges}))  # type: ignore[arg-type]
+
     def unordered_edges(self) -> list[tuple[Site, Site]]:
         """Each edge once, endpoints sorted, the list sorted."""
-        return sorted({tuple(sorted(e)) for e in self.edges})  # type: ignore[arg-type]
+        return list(self._unordered_edges)
 
 
 def explicit_graph(vertices, edges, symmetry: str = "lenient") -> SiteGraph:

@@ -404,6 +404,46 @@ def test_extract_conserved_roundtrip(capsys, workdir):
     assert ["sitewise-sum-matches", "pass"] in report["verification"]
 
 
+HOLES = {"base": "1", "template": [{"support": [0], "table": {"0": "1"}}]}
+NO_BASE_EXCLUSION = {"states": ["0", "1"], "edges": [[["0", "1"], ["1", "0"]]]}
+
+
+@pytest.mark.parametrize("function,interaction,probe,xi", [
+    (HOLES, "exclusion", {"base": "1", "assignments": {"0": "0", "3": "0"}},
+     {"0": "1", "1": "0"}),
+    ({}, NO_BASE_EXCLUSION, {"base": "0", "assignments": {"0": "1", "3": "1"}},
+     {"0": "0", "1": "1"}),
+], ids=["function-base-1", "interaction-without-base"])
+def test_invariant_and_extract_take_a_function_at_any_base(
+    capsys, workdir, function, interaction, probe, xi
+):
+    """Only the state labels must agree: a function at base "1" against the
+    builtin at base "0", or one at base "0" against an interaction with no
+    declared base.  A probe is normalised at the function's base."""
+    path = workdir / "function.json"
+    path.write_text(json.dumps({**json.loads((workdir / "xiX.json").read_text()), **function}))
+    (workdir / "probe.json").write_text(json.dumps(probe))
+    if isinstance(interaction, dict):
+        (workdir / "phi.json").write_text(json.dumps(interaction))
+        interaction = str(workdir / "phi.json")
+    code, out, _ = run(capsys, "invariant", "--function", str(path), "--interaction",
+                       interaction, "--probe", str(workdir / "probe.json"))
+    assert code == 0
+    outputs = last_report(out)["outputs"]
+    assert outputs["invariant"] is True and outputs["transitions"] > 0
+    code, out, _ = run(capsys, "extract", "--function", str(path), "--interaction", interaction)
+    assert code == 0
+    assert last_report(out)["outputs"]["xi"] == xi
+
+
+@pytest.mark.parametrize("command", ["invariant", "extract"])
+def test_invariant_and_extract_refuse_other_labels(capsys, workdir, command):
+    code, out, err = run(capsys, command, "--function", str(workdir / "xiX.json"),
+                         "--interaction", "multispecies:2")
+    assert code == 2 and not out
+    assert json.loads(err)["error"]["code"] == "mismatch"
+
+
 def test_kernel_report_shape_and_basis_loads(capsys):
     code, out, _ = run(
         capsys, "kernel",

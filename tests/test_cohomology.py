@@ -284,16 +284,16 @@ def test_extract_requires_matching_states():
 
 
 def test_candidate_supports_agree_with_graph_diameter():
-    g = lattice_window(2, -4, 4)
-    radius = 1
-    mine = set(_candidate_supports(g, radius))
-    verts = list(g.vertices)
-    all_sets = set()
-    for r in range(1, 4):
-        for combo in itertools.combinations(verts, r):
-            if diameter_of(g, combo) <= radius:
-                all_sets.add(combo)
-    assert mine == all_sets
+    for k, radius in [(1, 1), (1, 2), (2, 1), (3, 1)]:
+        g = lattice_window(k, -4, 4)
+        mine = set(_candidate_supports(*g.window, k * radius))
+        verts = list(g.vertices)
+        all_sets = set()
+        for r in range(1, k * radius + 2):
+            for combo in itertools.combinations(verts, r):
+                if diameter_of(g, combo) <= radius:
+                    all_sets.add(combo)
+        assert mine == all_sets, (k, radius)
 
 
 def test_kernel_window_must_cover_the_radius():
@@ -756,7 +756,7 @@ def former_unknowns(phi, radius, graph, base):
     nonbase = [s for s in range(phi.states.n) if s != base]
     return [
         (lam, entry)
-        for lam in _candidate_supports(graph, radius)
+        for lam in _candidate_supports(*graph.window, graph.k * radius)
         for entry in itertools.product(nonbase, repeat=len(lam))
     ]
 
@@ -908,6 +908,17 @@ def test_kernel_matches_the_former_routes(name, k, radius):
     for base in range(phi.states.n):
         assert_kernel_matches_the_former_routes(
             phi, radius, smallest_window(k, radius), base
+        )
+
+
+# Every ROUTE_CASES window is the smallest one, with one inner edge per
+# offset and none of offset 3.  These longer windows translate the rows of
+# each offset to several edges; interactions with more states take minutes.
+@pytest.mark.parametrize("k,radius,half", [(3, 1, 6), (2, 2, 8)], ids=["k3r1", "k2r2"])
+def test_exclusion_kernel_matches_the_former_routes_on_longer_windows(k, radius, half):
+    for base in range(EXCLUSION.states.n):
+        assert_kernel_matches_the_former_routes(
+            EXCLUSION, radius, lattice_window(k, -half, half), base
         )
 
 
