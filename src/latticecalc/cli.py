@@ -156,10 +156,10 @@ def _function_doc(fn) -> dict:
     return doc
 
 
-def _config_file(path: str, states, graph, inputs: dict, role: str):
+def _config_file(path: str, states, graph, inputs: dict, role: str, base=None):
     doc, digest = _read_json(path)
     inputs[role] = digest
-    return load_configuration(doc, states, graph)
+    return load_configuration(doc, states, graph, base)
 
 
 def _base_index(states, label: str | None) -> int:
@@ -305,8 +305,8 @@ def cmd_rebase(args) -> int:
 def cmd_diff(args) -> int:
     inputs: dict = {}
     fn, states, graph = _function_file(args.function, inputs, args.graph)
-    before = _config_file(args.from_config, states, graph, inputs, "from")
-    after = _config_file(args.to_config, states, graph, inputs, "to")
+    before = _config_file(args.from_config, states, graph, inputs, "from", fn.base_index)
+    after = _config_file(args.to_config, states, graph, inputs, "to", fn.base_index)
     value = difference(fn, before, after)
     direct = evaluate(fn, after) - evaluate(fn, before)
     verification = [("evaluation-consistent", "pass" if direct == value else "fail")]
@@ -394,7 +394,7 @@ def cmd_invariant(args) -> int:
     fn, states, graph = _function_file(args.function, inputs, args.graph, phi.states)
     probes = []
     for i, path in enumerate(args.probe or []):
-        probes.append(_config_file(path, states, graph, inputs, f"probe{i}"))
+        probes.append(_config_file(path, states, graph, inputs, f"probe{i}", fn.base_index))
     if not probes:
         probes = [configuration(graph, states, fn.base_index, {})]
     check = is_invariant(fn, phi, state_probe=probes)

@@ -7,8 +7,8 @@ the most significant digit, states in declared order, so entry order matches
 
 ``expand`` decomposes a local function into exact-support components: pieces
 that vanish whenever any coordinate equals the chosen base state.  The pieces
-are computed by induction over subsets of the support, smallest first, and
-``assemble`` sums them back.
+are read off one in-place Möbius transform of the table, and ``assemble``
+sums them back.
 """
 
 from __future__ import annotations
@@ -135,64 +135,61 @@ class ExactSupportFunction(LocalFunction):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 0 <= self.base_index < self.states.n:
-            raise SchemaError(f"base index {self.base_index} out of range")
-        for assignment in self.assignments():
-            if self.base_index in assignment and self.value_at(assignment) != 0:
-                raise SupportError(
-                    f"entry {assignment} has a base coordinate but value "
-                    f"{self.value_at(assignment)}"
-                )
+        if not is_exact_support(self, self.base_index):
+            a, v = next((a, v) for a, v in zip(self.assignments(), self.table)
+                        if v and self.base_index in a)
+            raise SupportError(f"entry {a} has a base coordinate but value {v}")
 
 
 def is_exact_support(f: LocalFunction, base: int) -> bool:
     """True when f vanishes on every tuple with a coordinate equal to ``base``."""
     if not 0 <= base < f.states.n:
         raise SchemaError(f"base index {base} out of range")
-    return all(
-        f.value_at(a) == 0 for a in f.assignments() if base in a
-    )
+    return not any(v for a, v in zip(f.assignments(), f.table) if base in a)
+
+
+def _pinned(f: LocalFunction, keep: tuple[Site, ...], base: int) -> list[int]:
+    """Table indices of f at each assignment of ``keep`` (sorted support
+    sites), in ``product`` order, with every other site at the base state."""
+    n = f.states.n
+    indices = [f.index_of((base,) * f.arity)]
+    for site in keep:
+        stride = n ** (f.arity - 1 - f.support.index(site))
+        indices = [i + (s - base) * stride for i in indices for s in range(n)]
+    return indices
 
 
 def restrict(f: LocalFunction, sites, base: int) -> LocalFunction:
     """Evaluate f with every site outside ``sites`` pinned to the base state."""
     keep = _sorted_support(set(sites) & set(f.support))
-    positions = [f.support.index(s) for s in keep]
-    n = f.states.n
-    table = []
-    for assignment in product(range(n), repeat=len(keep)):
-        full = [base] * f.arity
-        for pos, s in zip(positions, assignment):
-            full[pos] = s
-        table.append(f.value_at(tuple(full)))
-    return LocalFunction(states=f.states, support=keep, table=tuple(table))
+    table = tuple(f.table[i] for i in _pinned(f, keep, base))
+    return LocalFunction(states=f.states, support=keep, table=table)
 
 
 def expand(f: LocalFunction, base: int) -> dict[tuple[Site, ...], ExactSupportFunction]:
     """Exact-support components of f relative to the base state.
 
-    Components are defined by subtracting, from each restriction of f, the
-    components already found on proper subsets; only nonzero components are
-    returned.  The empty-support component is the constant f(all-base).
+    An in-place Möbius transform, one pass per site, turns the entry at each
+    assignment a into the value at a of the component on the non-base sites
+    of a; each component is read off with every other site at the base.  Only
+    nonzero components are returned.  The empty-support one is f(all-base).
     """
-    comps: dict[tuple[Site, ...], ExactSupportFunction] = {}
     n = f.states.n
+    table = list(f.table)
+    for pos in range(f.arity):
+        stride = n ** (f.arity - 1 - pos)
+        for i in range(len(table)):
+            digit = i // stride % n
+            if digit != base:
+                table[i] -= table[i + (base - digit) * stride]
+    comps: dict[tuple[Site, ...], ExactSupportFunction] = {}
     for size in range(f.arity + 1):
         for lam in combinations(f.support, size):
-            table = list(restrict(f, lam, base).table)
-            lam_set = set(lam)
-            assigns = list(product(range(n), repeat=size))
-            for sub, comp in comps.items():
-                if not set(sub) <= lam_set:
-                    continue
-                positions = [lam.index(s) for s in sub]
-                for i, assignment in enumerate(assigns):
-                    v = comp.value_at(tuple(assignment[p] for p in positions))
-                    if v:
-                        table[i] -= v
-            if any(table):
+            assigns = product(range(n), repeat=size)
+            values = [0 if base in a else table[i] for a, i in zip(assigns, _pinned(f, lam, base))]
+            if any(values):
                 comps[lam] = ExactSupportFunction(
-                    states=f.states, support=lam, table=tuple(table), base_index=base
+                    states=f.states, support=lam, table=tuple(values), base_index=base
                 )
     return comps
 

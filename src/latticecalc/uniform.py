@@ -86,32 +86,23 @@ class Configuration(Record):
         return self._lookup.get(site, self.base_index)
 
     def with_sites(self, updates: Mapping[Site, int]) -> "Configuration":
-        table = dict(self._lookup)
-        for site, state in updates.items():
-            self.graph.require_vertex(site)
-            if state == self.base_index:
-                table.pop(site, None)
-            else:
-                table[site] = state
-        return Configuration(
-            graph=self.graph,
-            states=self.states,
-            base_index=self.base_index,
-            assignments=tuple(sorted(table.items())),
+        return configuration(
+            self.graph, self.states, self.base_index, {**self._lookup, **updates}
         )
 
 
 def configuration(
     graph: SiteGraph, states: StateSpace, base: int, assignments: Mapping[Site, int] = ()
 ) -> Configuration:
-    table = {
-        site: state for site, state in dict(assignments).items() if state != base
-    }
+    """Every given site must be a vertex, whatever its state; the rest hold ``base``."""
+    table = dict(assignments)
+    for site in table:
+        graph.require_vertex(site)
     return Configuration(
         graph=graph,
         states=states,
         base_index=base,
-        assignments=tuple(sorted(table.items())),
+        assignments=tuple(sorted((s, v) for s, v in table.items() if v != base)),
     )
 
 
@@ -443,8 +434,7 @@ def rebase(f: UniformFunction, new_base: int) -> UniformFunction:
     for key, comp in f.components:
         if not key:
             continue
-        plain = LocalFunction(states=f.states, support=key, table=comp.table)
-        for sub, piece in expand(plain, new_base).items():
+        for sub, piece in expand(comp, new_base).items():
             if not sub:
                 continue
             if f.kind == TRANSLATED:
@@ -576,18 +566,22 @@ def uniform_to_document(f: UniformFunction) -> dict:
     return doc
 
 
-def load_configuration(doc: dict, states: StateSpace, graph: SiteGraph) -> Configuration:
-    """Build a configuration from {"base": ..., "assignments": {site: state}}."""
+def load_configuration(
+    doc: dict, states: StateSpace, graph: SiteGraph, base: int | None = None
+) -> Configuration:
+    """Read {"base": ..., "assignments": {site: state}}; unlisted sites hold the
+    document's base.  The result is normalised at ``base`` (default: the document's)."""
     if not isinstance(doc, dict) or "base" not in doc:
         raise SchemaError("configuration document needs a 'base'")
-    base = states.index(doc["base"])
+    own = states.index(doc["base"])
     raw = doc.get("assignments", {})
     if not isinstance(raw, Mapping):
         raise SchemaError("'assignments' must be an object")
     table = {graph.parse_site(key): states.index(label) for key, label in raw.items()}
     if len(table) != len(raw):
         raise SchemaError("two assignment keys name the same site")
-    return configuration(graph, states, base, table)
+    filled = {**dict.fromkeys(graph.vertices, own), **table}
+    return configuration(graph, states, own if base is None else base, filled)
 
 
 def configuration_to_document(eta: Configuration) -> dict:

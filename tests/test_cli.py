@@ -436,6 +436,47 @@ def test_invariant_and_extract_take_a_function_at_any_base(
     assert last_report(out)["outputs"]["xi"] == xi
 
 
+def spelled_at_base_1(doc):
+    """The same exclusion configuration on the window [-6, 6], written at
+    base "1": every site the base-"0" document leaves out is a hole."""
+    listed = doc["assignments"]
+    return {"base": "1",
+            "assignments": {str(x): "0" for x in range(-6, 7) if str(x) not in listed}}
+
+
+def test_invariant_and_diff_read_configurations_at_the_functions_base(capsys, workdir):
+    """A configuration is the same state assignment whichever base its
+    document declares, so both spellings give the same outputs."""
+    path = workdir / "holes.json"
+    path.write_text(json.dumps({**json.loads((workdir / "xiX.json").read_text()), **HOLES}))
+    for name in ("etaA", "etaB"):
+        doc = json.loads((workdir / f"{name}.json").read_text())
+        (workdir / f"{name}1.json").write_text(json.dumps(spelled_at_base_1(doc)))
+    commands = {
+        "invariant": lambda a, b: ("--interaction", "exclusion", "--probe", a),
+        "diff": lambda a, b: ("--from", a, "--to", b),
+    }
+    for command, flags in commands.items():
+        results = []
+        for a, b in [("etaA", "etaB"), ("etaA1", "etaB1"), ("etaA", "etaB1")]:
+            code, out, err = run(capsys, command, "--function", str(path),
+                                 *flags(str(workdir / f"{a}.json"), str(workdir / f"{b}.json")))
+            assert (code, err) == (0, "")
+            results.append(last_report(out)["outputs"])
+        assert results[0] == results[1] == results[2]
+    assert results[0]["value"] == "0"
+
+
+@pytest.mark.parametrize("state", ["0", "1"])
+def test_a_configuration_naming_a_non_vertex_is_unknown_vertex(capsys, workdir, state):
+    config = workdir / "config.json"
+    config.write_text(json.dumps({"base": "0", "assignments": {"999": state, "1": "1"}}))
+    code, out, err = run(capsys, "neighbors", "--interaction", "exclusion",
+                         "--graph", "path:4", "--config", str(config))
+    assert code == 2 and not out
+    assert json.loads(err)["error"]["code"] == "unknown-vertex"
+
+
 @pytest.mark.parametrize("command", ["invariant", "extract"])
 def test_invariant_and_extract_refuse_other_labels(capsys, workdir, command):
     code, out, err = run(capsys, command, "--function", str(workdir / "xiX.json"),

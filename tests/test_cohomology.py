@@ -477,12 +477,13 @@ def reference_kernel_rows(phi, radius, graph, base, probe_bound, uid, by_site):
             if a <= s <= b and (abs(s - x) <= reach or abs(s - y) <= reach)
         ]
 
+    supports = {}  # the candidate supports meeting each set of changed sites
+
     def row_for(before, after, delta):
         row = {}
-        lams = set()
-        for d in delta:
-            lams.update(by_site.get(d, ()))
-        for lam in lams:
+        if delta not in supports:
+            supports[delta] = {lam for d in delta for lam in by_site.get(d, ())}
+        for lam in supports[delta]:
             be = tuple(before.get(s, base) for s in lam)
             af = tuple(after.get(s, base) for s in lam)
             if be == af:
@@ -505,7 +506,7 @@ def reference_kernel_rows(phi, radius, graph, base, probe_bound, uid, by_site):
                 if (c, d) == (s, t):
                     continue
                 after = {**pattern, x: c, y: d}
-                delta = [site for site, old, new in ((x, s, c), (y, t, d)) if old != new]
+                delta = tuple(site for site, old, new in ((x, s, c), (y, t, d)) if old != new)
                 row = row_for(pattern, after, delta)
                 if row:
                     yield row
@@ -693,15 +694,27 @@ def test_certificate_rejects_a_basis_the_probes_accept(monkeypatch):
 # admissible rows span the rows of every configuration
 
 
+def distinct_up_to_sign(rows):
+    """Each row once up to sign: a row equal to another up to sign adds no rank."""
+    seen = set()
+    for row in rows:
+        key = tuple(sorted(row.items()))
+        if key[0][1] < 0:
+            key = tuple((c, -v) for c, v in key)
+        if key not in seen:
+            seen.add(key)
+            yield row
+
+
 def assert_admissible_rows_span_every_configuration(phi, radius, graph, base):
     """The kernel's rows and the rows of every configuration of the window
     have equal rank, and together no more."""
     uid, by_site = kernel_index(_kernel_unknowns(phi, radius, graph, base))
     admissible = list(_kernel_rows(phi, radius, graph, base, uid))
     rank = linalg.rank(admissible)
-    every = linalg.echelon(
+    every = linalg.echelon(distinct_up_to_sign(
         reference_kernel_rows(phi, radius, graph, base, len(graph.vertices), uid, by_site)
-    )
+    ))
     assert every.rank == rank
     for row in admissible:
         every.add(row)

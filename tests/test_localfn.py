@@ -2,8 +2,8 @@
 
 The oracle here is the inclusion-exclusion formula: the component on a site
 set equals the alternating sum of base-filled restrictions over its subsets.
-It is computed directly in this file and compared against the package's
-subset-induction implementation.
+It is computed directly in this file, one component at a time, and compared
+against the package's Möbius transform of the whole table.
 """
 
 import itertools
@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticecalc import errors
 from latticecalc.interaction import state_space
@@ -28,6 +29,16 @@ from conftest import local_functions
 
 ST3 = state_space(["0", "1", "2"], base="0")
 ST2 = state_space(["0", "1"], base="0")
+STATE_SPACES = [state_space([str(i) for i in range(n)], base="0") for n in range(1, 5)]
+
+
+@st.composite
+def functions_and_bases(draw):
+    """A local function on 1-4 states, integer or string sites, and a base."""
+    states = draw(st.sampled_from(STATE_SPACES))
+    sites = draw(st.sampled_from([range(-3, 4), "abcdefg"]))
+    f = draw(local_functions(states, sites=sites))
+    return f, draw(st.integers(0, states.n - 1))
 
 
 def mobius_component(f, lam, base):
@@ -152,17 +163,38 @@ def test_expand_hand_computed_example():
     assert pair.value_at((2, 2)) == 3
 
 
-@settings(deadline=None, max_examples=80)
-@given(local_functions(ST3))
-def test_expand_matches_inclusion_exclusion(f):
-    comps = expand(f, 0)
+@settings(deadline=None, max_examples=150)
+@given(functions_and_bases())
+def test_expand_matches_inclusion_exclusion(case):
+    f, base = case
+    comps = expand(f, base)
+    expected = []
     for r in range(len(f.support) + 1):
         for lam in itertools.combinations(f.support, r):
-            oracle = mobius_component(f, lam, 0)
-            if lam in comps:
-                assert comps[lam].table == oracle.table
-            else:
-                assert oracle.is_zero()
+            oracle = mobius_component(f, lam, base)
+            if not oracle.is_zero():
+                expected.append((lam, oracle.table))
+    assert [(lam, comp.table) for lam, comp in comps.items()] == expected
+    assert all(comp.base_index == base for comp in comps.values())
+
+
+def test_expand_reads_the_table_polynomially_often(monkeypatch):
+    """A deterministic work count: the components of m sites with n states
+    are read off in (n+1)**m table reads, so allow 3 * (n+1)**m ``index_of``
+    calls.  The former subset induction made 231,973 calls here."""
+    calls = 0
+    index_of = LocalFunction.index_of
+
+    def counted(self, assignment):
+        nonlocal calls
+        calls += 1
+        return index_of(self, assignment)
+
+    monkeypatch.setattr(LocalFunction, "index_of", counted)
+    f = LocalFunction.from_function(ST2, range(8), lambda a: sum(a) ** 3)
+    comps = expand(f, 0)
+    assert sorted({len(lam) for lam in comps}) == [1, 2, 3]
+    assert calls <= 3 * 3 ** 8
 
 
 @settings(deadline=None, max_examples=80)

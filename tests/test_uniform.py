@@ -70,8 +70,11 @@ def test_configuration_drops_base_assignments():
 
 
 def test_configuration_rejects_unknown_sites_and_states():
-    with pytest.raises(errors.UnknownVertexError):
-        configuration(G, ST, 1, {99: 2})
+    for state in (2, 1):  # a non-vertex is refused whatever its state, the base too
+        with pytest.raises(errors.UnknownVertexError):
+            configuration(G, ST, 1, {99: state})
+        with pytest.raises(errors.UnknownVertexError):
+            configuration(G, ST, 1, {}).with_sites({99: state})
     with pytest.raises(errors.SchemaError):
         configuration(G, ST, 1, {0: 9})
 
