@@ -3,9 +3,11 @@
 
 Each workload of ``perfbench/workloads.py`` is built at each seed, its input
 files are written once into a scratch directory, and every op, the warm-up
-included, runs once under each tree's ``src``.  Stdout, stderr and exit
-status must be identical.  One line is printed per difference, and the exit
-status is 1 when there is any.
+included, runs once under each tree's ``src``.  So does a fixed list of
+parser calls: help, the version, flag errors and the dash-led or repeated
+values a command line may carry.  Stdout, stderr and exit status must be
+identical.  One line is printed per difference, and the exit status is 1
+when there is any.
 
 Example, from the root of a checkout, against a copy of the parent commit:
 
@@ -26,6 +28,21 @@ import workloads  # noqa: E402
 
 BOOT = "import sys; from latticecalc.cli import main; sys.exit(main(sys.argv[1:]))"
 OP_TIMEOUT_S = 120
+PARSER_CALLS = [
+    ["--help"],
+    ["kernel", "--help"],
+    ["--version"],
+    ["kernel", "--interaction", "exclusion", "--radius", "abc", "--window=-8:8"],
+    ["component", "--interaction", "exclusion", "--graph", "lattice:1:-2:2",
+     "--config", "one.json", "--max-states", "x"],
+    ["consv"],
+    ["consv", "--interaction", "exclusion", "--format", "xml"],
+    ["no-such-command"],
+    ["consv", "--inter", "exclusion"],
+    ["consv", "--interaction", "exclusion", "--base", "-1"],
+    ["kernel", "--interaction", "exclusion", "--radius", "1", "--window", "-4:4"],
+    ["consv", "--interaction", "quastel2", "--interaction", "exclusion"],
+]
 
 
 def run_op(root: Path, argv, cwd: Path, pycache: Path):
@@ -39,6 +56,19 @@ def run_op(root: Path, argv, cwd: Path, pycache: Path):
     return done.stdout, done.stderr, done.returncode
 
 
+def compare_call(old: Path, new: Path, what: str, argv, cwd: Path, scratch: Path) -> int:
+    """Print one line per stream on which the trees answer ``argv``
+    differently; return the number of such streams."""
+    before = run_op(old, argv, cwd, scratch / "pycache-old")
+    after = run_op(new, argv, cwd, scratch / "pycache-new")
+    differences = 0
+    for stream, a, b in zip(("stdout", "stderr", "exit status"), before, after):
+        if a != b:
+            print(f"{what} ({' '.join(argv)}): {stream} differs")
+            differences += 1
+    return differences
+
+
 def compare(old: Path, new: Path, name: str, seed: int, scratch: Path) -> tuple[int, int]:
     """Print one line per op and stream on which the trees differ; return the
     number of ops run and of differences."""
@@ -49,14 +79,8 @@ def compare(old: Path, new: Path, name: str, seed: int, scratch: Path) -> tuple[
     for op in ops:
         for fname, text in op.files.items():
             (cwd / fname).write_text(text, encoding="utf-8")
-    differences = 0
-    for i, op in enumerate(ops):
-        before = run_op(old, op.argv, cwd, scratch / "pycache-old")
-        after = run_op(new, op.argv, cwd, scratch / "pycache-new")
-        for what, a, b in zip(("stdout", "stderr", "exit status"), before, after):
-            if a != b:
-                print(f"{name} seed {seed} op {i} ({' '.join(op.argv)}): {what} differs")
-                differences += 1
+    differences = sum(compare_call(old, new, f"{name} seed {seed} op {i}", op.argv, cwd, scratch)
+                      for i, op in enumerate(ops))
     return len(ops), differences
 
 
@@ -71,15 +95,21 @@ def main(argv=None) -> int:
     for root in (args.old, args.new):
         if not (root / "src" / "latticecalc" / "cli.py").is_file():
             parser.error(f"no latticecalc sources under {root}")
+    old, new = args.old.resolve(), args.new.resolve()
     differences = ops = 0
     with tempfile.TemporaryDirectory(prefix="compare-reports-") as scratch:
+        scratch = Path(scratch)
         for name in args.workloads:
             for seed in args.seeds:
-                count, found = compare(args.old.resolve(), args.new.resolve(),
-                                       name, seed, Path(scratch))
+                count, found = compare(old, new, name, seed, scratch)
                 ops += count
                 differences += found
-    print(f"{ops} ops on {len(args.workloads)} workloads, {differences} differences")
+        (scratch / "parser").mkdir()
+        for i, argv in enumerate(PARSER_CALLS):
+            differences += compare_call(old, new, f"parser call {i}", argv,
+                                        scratch / "parser", scratch)
+    print(f"{ops} ops on {len(args.workloads)} workloads and {len(PARSER_CALLS)} parser "
+          f"calls, {differences} differences")
     return 1 if differences else 0
 
 

@@ -7,16 +7,22 @@ re-run on the results.  ``component`` and ``swap-path`` write each
 transition as a JSON line ahead of the report once the work is done.
 ``--format table`` renders the same payload as indented text instead.
 
+``COMMANDS`` lists each subcommand's handler, help text and flags.
+``read_argv`` reads a well-formed call straight from it; help, ``--version``
+and every malformed call go to the argparse parser ``build_parser`` makes
+from the same table, so their texts are argparse's own.
+
 Failures print one JSON line with an ``error.code``; schema and I/O problems
 exit with status 1, domain violations with status 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
+import re
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .cohomology import (
@@ -79,18 +85,28 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _read_json(path: str):
-    import hashlib  # here, not at the top: it loads OpenSSL, and only file inputs need it
+def _digest(raw: bytes) -> str:
+    try:  # the interpreter's own SHA-256: hashlib would load OpenSSL and probe every algorithm
+        from _sha2 import sha256  # Python 3.12 on
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return "sha256:" + sha256(raw).hexdigest()
 
+
+def _read_json(path: str):
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-    return doc, "sha256:" + hashlib.sha256(raw).hexdigest()
+    return doc, _digest(raw)
 
 
 def _interaction_arg(token: str, inputs: dict) -> Interaction:
@@ -98,7 +114,7 @@ def _interaction_arg(token: str, inputs: dict) -> Interaction:
     try:
         phi = builtin_interaction(token)
     except SchemaError:
-        if not (token.endswith(".json") or Path(token).exists()):
+        if not (token.endswith(".json") or os.path.exists(token)):
             raise
     else:
         inputs["interaction"] = "builtin:" + token
@@ -106,13 +122,6 @@ def _interaction_arg(token: str, inputs: dict) -> Interaction:
     doc, digest = _read_json(token)
     inputs["interaction"] = digest
     return load_interaction(doc)
-
-
-def _int_flag(text: str) -> int:
-    try:  # argparse puts the flag's name in front of this error's message
-        return parse_int(text)
-    except SchemaError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _graph_arg(token: str, inputs: dict) -> SiteGraph:
@@ -212,7 +221,8 @@ def _emit(args, command: str, inputs, params, outputs, verification, lines=()) -
     else:
         text = "".join(row + "\n" for row in rows) + _dumps(report) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -492,87 +502,116 @@ def cmd_kernel(args) -> int:
 # parser
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Bad or missing flags are schema errors, reported like every other
-    error; subparsers are built from this class too."""
+def _int_flag(text: str) -> int:
+    import argparse
+    try:  # argparse puts the flag's name in front of this error's message
+        return parse_int(text)
+    except SchemaError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
-    def error(self, message: str):
-        raise SchemaError(f"{self.prog}: {message}")
+
+# name: (handler, help text, flags in help order after _COMMON's, with add_argument keywords)
+_COMMON = {"--format": {"choices": ("json", "table"), "default": "json"},
+           "--out": {"help": "write the report to this file instead of stdout"}}
+_REQUIRED = {"required": True}
+_SYSTEM = {"--interaction": _REQUIRED, "--graph": _REQUIRED, "--config": _REQUIRED}
+COMMANDS = {
+    "consv": (cmd_consv, "basis of conserved quantities", {
+        "--interaction": _REQUIRED,
+        "--base": {"help": "base state label (defaults to the declared one)"}}),
+    "exchangeable": (cmd_exchangeable, "decide exchangeability", {"--interaction": _REQUIRED}),
+    "expand": (cmd_expand, "exact-support components of a local function",
+               {"--function": _REQUIRED, "--base": {}}),
+    "rebase": (cmd_rebase, "rewrite a uniform function over a new base state",
+               {"--function": _REQUIRED, "--base": _REQUIRED, "--graph": {}}),
+    "diff": (cmd_diff, "difference of a uniform function along two configurations", {
+        "--function": _REQUIRED, "--from": {"dest": "from_config", "required": True},
+        "--to": {"dest": "to_config", "required": True}, "--graph": {}}),
+    "neighbors": (cmd_neighbors, "single transitions out of a configuration", _SYSTEM),
+    "component": (cmd_component, "breadth-first reachable component",
+                  {**_SYSTEM, "--max-states": {"type": _int_flag}}),
+    "swap-path": (cmd_swap_path, "transition sequence exchanging two sites", {
+        **_SYSTEM, "--sites": {"nargs": 2, "required": True, "metavar": ("X", "Y")}}),
+    "invariant": (cmd_invariant, "probe a uniform function for invariance", {
+        "--function": _REQUIRED, "--interaction": _REQUIRED, "--graph": {},
+        "--probe": {"action": "append", "help": "configuration file; repeatable"}}),
+    "h0": (cmd_h0, "exact cochain dimensions of a finite system",
+           {"--interaction": _REQUIRED, "--graph": _REQUIRED}),
+    "extract": (cmd_extract, "decide if a uniform function is a conserved sum",
+                {"--function": _REQUIRED, "--interaction": _REQUIRED, "--graph": {}}),
+    "kernel": (cmd_kernel, "invariance kernel over a lattice window", {
+        "--interaction": _REQUIRED, "--radius": {"type": _int_flag, "required": True},
+        "--window": {"help": "a:b window bounds (use --window=-6:6 form)"},
+        "--k": {"type": _int_flag, "help": "interaction range for --window"},
+        "--graph": {}, "--base": {}}),
+}
+# dash-led values argparse takes as values: its negative numbers, in ASCII digits only
+_NEGATIVE = re.compile("-[0-9]+|-[0-9]*\\.[0-9]+")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="latticecalc",
-        description="Exact calculators for interacting-particle conservation laws.",
-    )
-    parser.add_argument(
-        "--version", action="version", version="latticecalc " + __version__
-    )
+def build_parser():
+    """The argparse parser of ``COMMANDS``, for every call ``read_argv`` hands off."""
+    import argparse  # here, not at the top: a well-formed call never builds it
+
+    class Parser(argparse.ArgumentParser):  # subparsers are built from it too
+        def error(self, message: str):  # reported like every other error
+            raise SchemaError(f"{self.prog}: {message}")
+
+    parser = Parser(prog="latticecalc",
+                    description="Exact calculators for interacting-particle conservation laws.")
+    parser.add_argument("--version", action="version", version="latticecalc " + __version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text, *required):
+    for name, (handler, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--out", help="write the report to this file instead of stdout")
         p.set_defaults(func=handler)
-        for flag in required:
-            p.add_argument(flag, required=True)
-        return p
-
-    p = add("consv", cmd_consv, "basis of conserved quantities", "--interaction")
-    p.add_argument("--base", help="base state label (defaults to the declared one)")
-
-    add("exchangeable", cmd_exchangeable, "decide exchangeability", "--interaction")
-
-    p = add("expand", cmd_expand, "exact-support components of a local function",
-            "--function")
-    p.add_argument("--base")
-
-    p = add("rebase", cmd_rebase, "rewrite a uniform function over a new base state",
-            "--function", "--base")
-    p.add_argument("--graph")
-
-    p = add("diff", cmd_diff, "difference of a uniform function along two configurations",
-            "--function")
-    p.add_argument("--from", dest="from_config", required=True)
-    p.add_argument("--to", dest="to_config", required=True)
-    p.add_argument("--graph")
-
-    system = ("--interaction", "--graph", "--config")
-    add("neighbors", cmd_neighbors, "single transitions out of a configuration", *system)
-
-    p = add("component", cmd_component, "breadth-first reachable component", *system)
-    p.add_argument("--max-states", type=_int_flag)
-
-    p = add("swap-path", cmd_swap_path, "transition sequence exchanging two sites", *system)
-    p.add_argument("--sites", nargs=2, required=True, metavar=("X", "Y"))
-
-    p = add("invariant", cmd_invariant, "probe a uniform function for invariance",
-            "--function", "--interaction")
-    p.add_argument("--graph")
-    p.add_argument("--probe", action="append", help="configuration file; repeatable")
-
-    add("h0", cmd_h0, "exact cochain dimensions of a finite system",
-        "--interaction", "--graph")
-
-    p = add("extract", cmd_extract, "decide if a uniform function is a conserved sum",
-            "--function", "--interaction")
-    p.add_argument("--graph")
-
-    p = add("kernel", cmd_kernel, "invariance kernel over a lattice window",
-            "--interaction")
-    p.add_argument("--radius", type=_int_flag, required=True)
-    p.add_argument("--window", help="a:b window bounds (use --window=-6:6 form)")
-    p.add_argument("--k", type=_int_flag, help="interaction range for --window")
-    p.add_argument("--graph")
-    p.add_argument("--base")
-
+        for flag, keywords in {**_COMMON, **flags}.items():
+            p.add_argument(flag, **keywords)
     return parser
+
+
+def read_argv(argv: list[str]):
+    """``build_parser().parse_args(argv)`` of a well-formed call, read without argparse;
+    None for help, an unknown, abbreviated, bad or missing flag, or any other call."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, _, own = COMMANDS[argv[0]]
+    flags = {**_COMMON, **own}
+    dest = {flag: kw.get("dest", flag[2:].replace("-", "_")) for flag, kw in flags.items()}
+    args = SimpleNamespace(command=argv[0], func=handler,
+                           **{dest[flag]: kw.get("default") for flag, kw in flags.items()})
+    i = 1
+    while i < len(argv):
+        flag, eq, explicit = argv[i].partition("=")
+        kw = flags.get(flag)
+        if kw is None:
+            return None
+        n = kw.get("nargs", 1)
+        if eq:  # argparse takes any text after "=" as the value, but drops "--"
+            if n != 1 or explicit == "--":
+                return None
+            values, i = [explicit], i + 1
+        else:
+            values, i = list(argv[i + 1:i + 1 + n]), i + 1 + n
+            if len(values) < n or any(
+                    v.startswith("-") and not _NEGATIVE.fullmatch(v) for v in values):
+                return None
+        try:
+            values = [parse_int(v) for v in values] if kw.get("type") is _int_flag else values
+        except SchemaError:
+            return None
+        if "choices" in kw and values[0] not in kw["choices"]:
+            return None
+        value = values if n != 1 else values[0]
+        if kw.get("action") == "append":
+            value = (getattr(args, dest[flag]) or []) + [value]
+        setattr(args, dest[flag], value)
+    required = [dest[flag] for flag, kw in flags.items() if kw.get("required")]
+    return None if any(getattr(args, name) is None for name in required) else args
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = read_argv(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
         return args.func(args)
     except LatticeCalcError as exc:
         line = _dumps({"error": {"code": exc.code, "message": str(exc)}})

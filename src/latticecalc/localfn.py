@@ -13,9 +13,9 @@ sums them back.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Mapping
 
 from . import caps
 from .errors import CapExceededError, Record, SchemaError, SupportError

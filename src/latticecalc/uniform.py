@@ -18,9 +18,9 @@ lattices.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
 
 from .errors import (
     LocalityError,

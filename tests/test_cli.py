@@ -590,6 +590,19 @@ def test_builtin_id_wins_over_a_file_of_that_name(capsys, tmp_path, monkeypatch)
     assert report["outputs"]["dimension"] == 2
 
 
+def test_read_errors_name_the_path_as_given(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "expand", "--function", "./nope.json")
+    assert code == 1 and not out
+    assert json.loads(err)["error"] == {
+        "code": "schema",
+        "message": "cannot read ./nope.json: [Errno 2] No such file or directory: './nope.json'"}
+    code, out, err = run(capsys, "consv", "--interaction", "")
+    assert code == 1 and not out
+    assert json.loads(err)["error"] == {"code": "schema",
+                                        "message": "unknown built-in interaction ''"}
+
+
 def test_error_lines_and_exit_codes(capsys, workdir, tmp_path):
     code, out, err = run(capsys, "consv", "--interaction", "nosuchthing")
     assert code == 1 and not out

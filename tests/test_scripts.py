@@ -48,7 +48,7 @@ def test_survey_builtins_prints_finite_h0_and_h1():
 def test_compare_reports_finds_no_difference_between_a_tree_and_itself():
     out = run_script("compare_reports.py", str(ROOT), str(ROOT), "--seeds", "23",
                      "--workloads", "kernel")
-    assert out == "7 ops on 1 workloads, 0 differences\n"
+    assert out == "7 ops on 1 workloads and 12 parser calls, 0 differences\n"
 
 
 def test_compare_reports_names_every_op_another_tree_answers_differently(tmp_path):
@@ -61,5 +61,9 @@ def test_compare_reports_names_every_op_another_tree_answers_differently(tmp_pat
                    "--workloads", "kernel")
     lines = failed.value.stdout.splitlines()
     assert failed.value.returncode == 1
-    assert len(lines) == 8 and all(" stdout differs" in line for line in lines[:7])
-    assert lines[-1] == "7 ops on 1 workloads, 7 differences"
+    assert all(line.startswith("kernel seed 23 op ") and line.endswith(" stdout differs")
+               for line in lines[:7])
+    stdout_lines = [line for line in lines[7:-1] if line.endswith(" stdout differs")]
+    assert [line.split(" (")[0] for line in stdout_lines] == [
+        f"parser call {i}" for i in range(12)]
+    assert lines[-1] == f"7 ops on 1 workloads and 12 parser calls, {len(lines) - 1} differences"
