@@ -4,10 +4,10 @@
 Each workload of ``perfbench/workloads.py`` is built at each seed, its input
 files are written once into a scratch directory, and every op, the warm-up
 included, runs once under each tree's ``src``.  So does a fixed list of
-parser calls: help, the version, flag errors and the dash-led or repeated
-values a command line may carry.  Stdout, stderr and exit status must be
-identical.  One line is printed per difference, and the exit status is 1
-when there is any.
+parser calls: help, the version, flag errors, the dash-led or repeated
+values a command line may carry, and integers out of their range.  Stdout,
+stderr and exit status must be identical.  One line is printed per
+difference, and the exit status is 1 when there is any.
 
 Example, from the root of a checkout, against a copy of the parent commit:
 
@@ -42,6 +42,12 @@ PARSER_CALLS = [
     ["consv", "--interaction", "exclusion", "--base", "-1"],
     ["kernel", "--interaction", "exclusion", "--radius", "1", "--window", "-4:4"],
     ["consv", "--interaction", "quastel2", "--interaction", "exclusion"],
+    ["kernel", "--interaction", "exclusion", "--radius", "-1", "--window=-4:4"],
+    ["h0", "--interaction", "exclusion", "--graph", "path:0"],
+    ["h0", "--interaction", "exclusion", "--graph", "cycle:2"],
+    ["h0", "--interaction", "exclusion", "--graph", "lattice:0:0:3"],
+    ["h0", "--interaction", "exclusion", "--graph", "lattice:1:3:0"],
+    ["consv", "--interaction", "multispecies:0"],
 ]
 
 

@@ -557,6 +557,11 @@ def build_parser():
         def error(self, message: str):  # reported like every other error
             raise SchemaError(f"{self.prog}: {message}")
 
+        def _get_values(self, action, arg_strings):  # argparse would store "--flag=--" as []
+            if action.nargs is None and arg_strings == ["--"]:
+                raise argparse.ArgumentError(action, "expected one argument")
+            return super()._get_values(action, arg_strings)
+
     parser = Parser(prog="latticecalc",
                     description="Exact calculators for interacting-particle conservation laws.")
     parser.add_argument("--version", action="version", version="latticecalc " + __version__)
@@ -586,7 +591,7 @@ def read_argv(argv: list[str]):
         if kw is None:
             return None
         n = kw.get("nargs", 1)
-        if eq:  # argparse takes any text after "=" as the value, but drops "--"
+        if eq:  # argparse takes any text after "=" as the value, but refuses "--"
             if n != 1 or explicit == "--":
                 return None
             values, i = [explicit], i + 1

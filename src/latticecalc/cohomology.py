@@ -34,6 +34,7 @@ from .errors import (
 )
 from .interaction import ConservedQuantity, Interaction
 from .localfn import LocalFunction
+from .rationals import require_int
 from .sitegraph import LATTICE_Z, SiteGraph
 from .transitions import ConfigCode
 from .uniform import (
@@ -125,13 +126,6 @@ NONZERO_MULTI_SITE = "nonzero-multi-site"
 NOT_CONSERVED_PAIR = "not-conserved-pair"
 NOT_INVARIANT = "not-invariant"
 
-VIOLATION_KINDS = (
-    UNEQUAL_SINGLE_SITE,
-    NONZERO_MULTI_SITE,
-    NOT_CONSERVED_PAIR,
-    NOT_INVARIANT,
-)
-
 
 class ExtractionResult(Record):
     """Either a conserved quantity or a typed violation with a witness."""
@@ -139,10 +133,6 @@ class ExtractionResult(Record):
     outcome: str
     xi: ConservedQuantity | None = None
     witness: object = None
-
-    @property
-    def is_conserved(self) -> bool:
-        return self.outcome == CONSERVED
 
 
 def extract_conserved(f: UniformFunction, phi: Interaction) -> ExtractionResult:
@@ -356,10 +346,8 @@ def invariance_kernel(
     """
     if graph.kind != LATTICE_Z:
         raise SchemaError("invariance kernel needs an integer-lattice window")
-    if type(radius) is not int or radius < 0:
-        raise SchemaError("radius must be a nonnegative integer")
-    if not 0 <= base < phi.states.n:
-        raise SchemaError(f"base index {base} out of range")
+    require_int(radius, "radius must be a nonnegative integer")
+    require_int(base, "base index {} out of range", 0, phi.states.n)
     a, b = graph.window
     if b - a < 4 * (radius + 1):
         raise WindowTooSmallError(

@@ -22,7 +22,7 @@ from .errors import (
     SchemaError,
     UnknownStateError,
 )
-from .rationals import ensure_fraction, format_rational, parse_int, parse_list
+from .rationals import ensure_fraction, format_rational, parse_int, parse_list, require_int
 from .sitegraph import breadth_first, path_to
 
 PairIdx = tuple[int, int]
@@ -42,8 +42,8 @@ class StateSpace(Record):
             raise SchemaError("state labels must be nonempty strings")
         if len(set(self.labels)) != len(self.labels):
             raise SchemaError("duplicate state labels")
-        if self.base_index is not None and not 0 <= self.base_index < len(self.labels):
-            raise SchemaError(f"base index {self.base_index} out of range")
+        if self.base_index is not None:
+            require_int(self.base_index, "base index {} out of range", 0, len(self.labels))
 
     @property
     def n(self) -> int:
@@ -78,8 +78,7 @@ class Interaction(Record):
         n = self.states.n
         for (a, b), (c, d) in self.edges:
             for idx in (a, b, c, d):
-                if not 0 <= idx < n:
-                    raise UnknownStateError(f"state index {idx} out of range")
+                require_int(idx, "state index {} out of range", 0, n)
             if ((c, d), (a, b)) not in self.edges:
                 raise AsymmetricEdgesError(
                     f"missing reverse of edge (({a},{b}),({c},{d}))"
@@ -216,6 +215,8 @@ def pair_exchange_path(phi: Interaction, s1: int, s2: int) -> list[PhiEdge]:
     lists neighbors in sorted order, so ties are broken lexicographically.
     Raises NotExchangeableError when no path exists.
     """
+    for s in (s1, s2):
+        require_int(s, "state index {} out of range", 0, phi.states.n)
     path = path_to((s1, s2), (s2, s1), phi.targets)
     if path is not None:
         return list(zip(path, path[1:]))
@@ -239,8 +240,7 @@ class ConservedQuantity(Record):
             self, "values", tuple(ensure_fraction(v) for v in self.values)
         )
         if self.base_index is not None:
-            if not 0 <= self.base_index < self.states.n:
-                raise SchemaError(f"base index {self.base_index} out of range")
+            require_int(self.base_index, "base index {} out of range", 0, self.states.n)
             if self.values[self.base_index] != 0:
                 raise NormalizationError(
                     "conserved quantity must vanish at the base state"
@@ -274,8 +274,7 @@ def consv_basis(phi: Interaction, base: int) -> list[ConservedQuantity]:
     smaller pair (its reverse negates it): equal inputs give equal bases.
     """
     n = phi.states.n
-    if not 0 <= base < n:
-        raise UnknownStateError(f"state index {base} out of range")
+    require_int(base, "state index {} out of range", 0, n)
     rows: list[dict[int, int]] = [{base: 1}]
     for (a, b), (c, d) in sorted(e for e in phi.edges if e[0] < e[1]):
         row: dict[int, int] = {}
@@ -338,9 +337,7 @@ def builtin_interaction(name: str) -> Interaction:
         return _multispecies(1)
     if name.startswith("multispecies:"):
         bad = f"bad species count in {name!r}"
-        if (kappa := parse_int(name.partition(":")[2], bad)) < 1:
-            raise SchemaError(bad)
-        return _multispecies(kappa)
+        return _multispecies(require_int(parse_int(name.partition(":")[2], bad), bad, 1))
     if name == "two-species-ac":
         return _two_species_annihilation_creation()
     if name == "quastel2":

@@ -20,7 +20,7 @@ from itertools import combinations, product
 from . import caps
 from .errors import CapExceededError, Record, SchemaError, SupportError
 from .interaction import StateSpace
-from .rationals import ensure_fraction
+from .rationals import ensure_fraction, require_int
 from .sitegraph import Site
 
 Assignment = tuple[int, ...]
@@ -107,11 +107,12 @@ class LocalFunction(Record):
         """Build from a sparse {assignment: value} map; omitted entries are
         zero.  Each table slot looks up its own assignment, so a key that is
         not an assignment of the support is refused rather than dropped."""
-        arity = len(_sorted_support(support))
+        arity, bad = len(_sorted_support(support)), "{!r} is not an assignment of {} sites"
         for key in entries:
-            if not (isinstance(key, tuple) and len(key) == arity and all(
-                    type(s) is int and 0 <= s < states.n for s in key)):
-                raise SchemaError(f"{key!r} is not an assignment of {arity} sites")
+            if not (isinstance(key, tuple) and len(key) == arity):
+                raise SchemaError(bad.format(key, arity))
+            for s in key:
+                require_int(s, bad, 0, states.n, (key, arity))
         return cls.from_function(states, support, lambda a: entries.get(a, 0))
 
     @classmethod
@@ -143,8 +144,7 @@ class ExactSupportFunction(LocalFunction):
 
 def is_exact_support(f: LocalFunction, base: int) -> bool:
     """True when f vanishes on every tuple with a coordinate equal to ``base``."""
-    if not 0 <= base < f.states.n:
-        raise SchemaError(f"base index {base} out of range")
+    require_int(base, "base index {} out of range", 0, f.states.n)
     return not any(v for a, v in zip(f.assignments(), f.table) if base in a)
 
 
@@ -161,6 +161,7 @@ def _pinned(f: LocalFunction, keep: tuple[Site, ...], base: int) -> list[int]:
 
 def restrict(f: LocalFunction, sites, base: int) -> LocalFunction:
     """Evaluate f with every site outside ``sites`` pinned to the base state."""
+    require_int(base, "base index {} out of range", 0, f.states.n)
     keep = _sorted_support(set(sites) & set(f.support))
     table = tuple(f.table[i] for i in _pinned(f, keep, base))
     return LocalFunction(states=f.states, support=keep, table=table)
@@ -175,6 +176,7 @@ def expand(f: LocalFunction, base: int) -> dict[tuple[Site, ...], ExactSupportFu
     nonzero components are returned.  The empty-support one is f(all-base).
     """
     n = f.states.n
+    require_int(base, "base index {} out of range", 0, n)
     table = list(f.table)
     for pos in range(f.arity):
         stride = n ** (f.arity - 1 - pos)

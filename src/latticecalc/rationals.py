@@ -1,5 +1,5 @@
-"""Integers and exact rationals read from text, canonical "p/q" or "n"
-form, and the lists of input documents."""
+"""Integers read from text and handed over as values, exact rationals read
+from text, canonical "p/q" or "n" form, and the lists of input documents."""
 
 from __future__ import annotations
 
@@ -18,6 +18,18 @@ def parse_int(text: str, message: str = "") -> int:
     if isinstance(text, str) and _INT_RE.fullmatch(text):
         return int(text)
     raise SchemaError(message or f"invalid int value: {text!r}")
+
+
+def require_int(value, message: str, floor: int | None = 0, below: int | None = None,
+                fields: tuple = ()) -> int:
+    """``value`` if it is an ``int``, never a ``bool``, at least ``floor`` (no
+    floor when None) and below ``below`` when given; anything else raises
+    ``SchemaError(message.format(*fields))``, ``fields`` defaulting to
+    ``(value,)``.  The message is formatted only on failure."""
+    if type(value) is int and (floor is None or floor <= value) and (
+            below is None or value < below):
+        return value
+    raise SchemaError(message.format(*(fields or (value,))))
 
 
 def parse_list(value, message: str, size: int | None = None) -> list:

@@ -20,7 +20,7 @@ from .errors import (
     SchemaError,
     UnknownVertexError,
 )
-from .rationals import parse_int, parse_list
+from .rationals import parse_int, parse_list, require_int
 
 Site = int | str
 
@@ -121,8 +121,7 @@ def explicit_graph(vertices, edges, symmetry: str = "lenient") -> SiteGraph:
 
 
 def path_graph(n: int) -> SiteGraph:
-    if type(n) is not int or n < 1:
-        raise SchemaError(f"path graph needs an integer n >= 1, got {n!r}")
+    require_int(n, "path graph needs an integer n >= 1, got {!r}", 1)
     edges = set()
     for i in range(n - 1):
         edges |= {(i, i + 1), (i + 1, i)}
@@ -130,8 +129,7 @@ def path_graph(n: int) -> SiteGraph:
 
 
 def cycle_graph(n: int) -> SiteGraph:
-    if type(n) is not int or n < 3:
-        raise SchemaError(f"cycle graph needs an integer n >= 3, got {n!r}")
+    require_int(n, "cycle graph needs an integer n >= 3, got {!r}", 3)
     edges = set()
     for i in range(n):
         j = (i + 1) % n
@@ -141,10 +139,9 @@ def cycle_graph(n: int) -> SiteGraph:
 
 def lattice_window(k: int, a: int, b: int) -> SiteGraph:
     """Window [a, b] of the integer lattice with edges 1 <= |i - j| <= k."""
-    if type(k) is not int or k < 1:
-        raise SchemaError(f"lattice range k must be an integer >= 1, got {k!r}")
-    if type(a) is not int or type(b) is not int or a > b:
-        raise SchemaError(f"window [{a!r}, {b!r}] is not a nonempty integer range")
+    require_int(k, "lattice range k must be an integer >= 1, got {!r}", 1)
+    bad = "window [{!r}, {!r}] is not a nonempty integer range"
+    require_int(b, bad, require_int(a, bad, None, fields=(a, b)), fields=(a, b))
     edges = set()
     for i in range(a, b + 1):
         for d in range(1, k + 1):

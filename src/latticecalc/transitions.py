@@ -14,7 +14,7 @@ from itertools import accumulate, repeat
 from . import caps
 from .errors import MismatchError, Record, SchemaError, UnknownVertexError
 from .interaction import Interaction, PhiEdge, StateSpace, pair_exchange_path
-from .rationals import parse_list
+from .rationals import parse_list, require_int
 from .sitegraph import Site, SiteGraph, shortest_path
 from .uniform import Configuration, UniformFunction, configuration, difference
 
@@ -196,8 +196,7 @@ def component_bfs(
         raise MismatchError("configuration built over a different state space")
     if max_states is None:
         max_states = caps.current().max_bfs
-    if max_states < 1:
-        raise SchemaError(f"max_states must be at least 1, got {max_states}")
+    require_int(max_states, "max_states must be at least 1, got {}", 1)
     codes = ConfigCode(phi, eta.graph)
     start = codes.encode(eta)
     visited, seen, steps = [start], {start}, []

@@ -29,11 +29,10 @@ from .errors import (
     Record,
     SchemaError,
     SupportError,
-    UnknownVertexError,
 )
 from .interaction import ConservedQuantity, StateSpace
 from .localfn import ExactSupportFunction, LocalFunction, assemble, expand
-from .rationals import format_rational, parse_list, parse_rational
+from .rationals import format_rational, parse_list, parse_rational, require_int
 from .sitegraph import LATTICE_Z, Site, SiteGraph, ball, diameter_of
 
 EXPLICIT = "explicit"
@@ -61,13 +60,12 @@ class Configuration(Record):
     assignments: tuple[tuple[Site, int], ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.base_index < self.states.n:
-            raise SchemaError(f"base index {self.base_index} out of range")
+        n = self.states.n
+        require_int(self.base_index, "base index {} out of range", 0, n)
         previous = None
         for site, state in self.assignments:
             self.graph.require_vertex(site)
-            if not 0 <= state < self.states.n:
-                raise SchemaError(f"state index {state} out of range")
+            require_int(state, "state index {} out of range", 0, n)
             if state == self.base_index:
                 raise SchemaError(f"assignment at {site!r} equals the base state")
             if previous is not None and not previous < site:
@@ -128,10 +126,8 @@ class UniformFunction(Record):
     def __post_init__(self) -> None:
         if self.kind not in (EXPLICIT, TRANSLATED):
             raise SchemaError(f"unknown uniform-function kind {self.kind!r}")
-        if type(self.radius) is not int or self.radius < 0:
-            raise SchemaError("radius must be a nonnegative integer")
-        if not 0 <= self.base_index < self.states.n:
-            raise SchemaError(f"base index {self.base_index} out of range")
+        require_int(self.radius, "radius must be a nonnegative integer")
+        require_int(self.base_index, "base index {} out of range", 0, self.states.n)
         if self.kind == TRANSLATED and self.graph.kind != LATTICE_Z:
             raise SchemaError("translated families require an integer-lattice window")
         seen: set[ComponentKey] = set()
@@ -335,8 +331,7 @@ def xi_X(xi: ConservedQuantity, graph: SiteGraph, base: int) -> UniformFunction:
     template; on finite graphs it is the explicit family with one component
     per site.  ``xi`` must vanish at the base state.
     """
-    if not 0 <= base < xi.states.n:
-        raise SchemaError(f"base index {base} out of range")
+    require_int(base, "base index {} out of range", 0, xi.states.n)
     if xi.values[base] != 0:
         raise NormalizationError("conserved quantity does not vanish at the base state")
     table = tuple(xi.values)
@@ -369,12 +364,12 @@ def sum_of_uniformly_local(
     on a support is the sum of the matching expansion components of the f_x,
     so no support of diameter above ``2 * radius`` can appear.
     """
-    if type(radius) is not int or radius < 0:
-        raise SchemaError("radius must be a nonnegative integer")
+    require_int(radius, "radius must be a nonnegative integer")
     if not system:
         raise SchemaError("empty system; pass at least one site function")
     sites = sorted(system)
     states = system[sites[0]].states
+    require_int(base, "base index {} out of range", 0, states.n)
     for x in sites:
         fx = system[x]
         graph.require_vertex(x)
@@ -426,8 +421,7 @@ def rebase(f: UniformFunction, new_base: int) -> UniformFunction:
     an involution and, on finite local functions, shifts the function by
     (value at old all-base) - (value at new all-base).
     """
-    if not 0 <= new_base < f.states.n:
-        raise SchemaError(f"base index {new_base} out of range")
+    require_int(new_base, "base index {} out of range", 0, f.states.n)
     if new_base == f.base_index:
         return f
     pieces = []
@@ -540,9 +534,7 @@ def load_uniform(doc: dict, states: StateSpace, graph: SiteGraph) -> UniformFunc
         raise SchemaError("uniform-function document needs a 'base'")
     base = states.index(doc["base"])
     kind = doc.get("kind", TRANSLATED if "template" in doc else EXPLICIT)
-    radius = doc.get("radius", 0)
-    if type(radius) is not int or radius < 0:
-        raise SchemaError("'radius' must be a nonnegative integer")
+    radius = require_int(doc.get("radius", 0), "'radius' must be a nonnegative integer")
     if kind == EXPLICIT:
         comps = load_component_list(doc.get("components", []), states, base)
         return explicit_uniform(states, graph, base, radius, comps)

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from latticecalc import __version__, linalg
-from latticecalc.cli import _dumps, main
+from latticecalc.cli import _COMMON, COMMANDS, _dumps, main
 from latticecalc.interaction import builtin_interaction, state_space
 from latticecalc.sitegraph import cycle_graph, lattice_window, load_graph
 from latticecalc.transitions import (
@@ -664,6 +664,38 @@ def test_bad_or_missing_flags_are_schema_errors(capsys, workdir, monkeypatch, ar
     assert err.count("\n") == 1
     error = json.loads(err)["error"]
     assert error["code"] == "schema" and named in error["message"]
+
+
+# a value for each required flag, so a call fails only at the flag under test
+REQUIRED_VALUES = {"--interaction": ["exclusion"], "--graph": ["path:3"],
+                   "--config": ["one.json"], "--function": ["f.json"], "--from": ["a.json"],
+                   "--to": ["b.json"], "--base": ["0"], "--radius": ["1"],
+                   "--sites": ["0", "1"]}
+EMPTY_VALUE_CALLS = [
+    (command, flag)
+    for command, (_, _, own) in COMMANDS.items()
+    for flag, keywords in {**_COMMON, **own}.items()
+    if keywords.get("nargs", 1) == 1
+]
+
+
+@pytest.mark.parametrize("command,flag", EMPTY_VALUE_CALLS,
+                         ids=[f"{c}{f}" for c, f in EMPTY_VALUE_CALLS])
+def test_a_flag_given_as_double_dash_is_a_schema_error(capsys, tmp_path, monkeypatch,
+                                                       command, flag):
+    """argparse drops the "--" of "--flag=--" and would store an empty list."""
+    monkeypatch.chdir(tmp_path)
+    own = COMMANDS[command][2]
+    argv = [command]
+    for other, keywords in own.items():
+        if keywords.get("required") and other != flag:
+            argv += [other, *REQUIRED_VALUES[other]]
+    code, out, err = run(capsys, *argv, f"{flag}=--")
+    assert code == 1 and not out
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["code"] == "schema"
+    assert error["message"] == f"latticecalc {command}: argument {flag}: expected one argument"
 
 
 @pytest.mark.parametrize("radius,count", [(10, 114687), (12, 450559), (14, 1769471),

@@ -463,7 +463,9 @@ def reference_kernel_rows(phi, radius, graph, base, probe_bound, uid, by_site):
 
     A row reads the configuration only within k*R of the fired edge, so with
     the bound at the number of window sites these are the rows of every
-    configuration.
+    configuration.  When the configuration after a move is listed too, the
+    move back from it has the negated row, so the pair gives one row: that of
+    the move to the larger pair (c, d).
     """
     a, b = graph.window
     reach = graph.k * radius
@@ -478,27 +480,26 @@ def reference_kernel_rows(phi, radius, graph, base, probe_bound, uid, by_site):
         ]
 
     supports = {}  # the candidate supports meeting each set of changed sites
+    seen = {}  # the columns of each (delta, non-base part of a configuration)
 
-    def row_for(before, after, delta):
-        row = {}
-        if delta not in supports:
-            supports[delta] = {lam for d in delta for lam in by_site.get(d, ())}
-        for lam in supports[delta]:
-            be = tuple(before.get(s, base) for s in lam)
-            af = tuple(after.get(s, base) for s in lam)
-            if be == af:
-                continue
-            if base not in af:
-                key = uid[(lam, af)]
-                row[key] = row.get(key, 0) + 1
-            if base not in be:
-                key = uid[(lam, be)]
-                row[key] = row.get(key, 0) - 1
-        return {c: v for c, v in row.items() if v}
+    def columns(config, delta):
+        """Columns (λ, config|λ) of the candidate λ meeting ``delta`` that hold
+        no base state in ``config``: a move's row is +1 at those of the
+        configuration after it and −1 at those of the one before.  No two
+        share a column, since a λ meeting ``delta`` reads differently there."""
+        nonbase_part = {s: v for s, v in config.items() if v != base}
+        key = delta, frozenset(nonbase_part.items())
+        if key not in seen:
+            if delta not in supports:
+                supports[delta] = {lam for d in delta for lam in by_site.get(d, ())}
+            seen[key] = [uid[lam, tuple(map(nonbase_part.__getitem__, lam))]
+                         for lam in filter(set(nonbase_part).issuperset, supports[delta])]
+        return seen[key]
 
     for x, y in graph.unordered_edges():
         if not (lo <= x and y <= hi):
             continue
+        seen.clear()  # bounds its size; the columns depend on the key alone
         region = region_around(x, y)
         for pattern in _patterns(region, nonbase, probe_bound):
             s, t = pattern.get(x, base), pattern.get(y, base)
@@ -506,8 +507,11 @@ def reference_kernel_rows(phi, radius, graph, base, probe_bound, uid, by_site):
                 if (c, d) == (s, t):
                     continue
                 after = {**pattern, x: c, y: d}
+                if (c, d) < (s, t) and sum(v != base for v in after.values()) <= probe_bound:
+                    continue  # the negated row of the move back, fired from ``after``
                 delta = tuple(site for site, old, new in ((x, s, c), (y, t, d)) if old != new)
-                row = row_for(pattern, after, delta)
+                row = dict.fromkeys(columns(after, delta), 1)
+                row.update(dict.fromkeys(columns(pattern, delta), -1))
                 if row:
                     yield row
 
@@ -694,27 +698,16 @@ def test_certificate_rejects_a_basis_the_probes_accept(monkeypatch):
 # admissible rows span the rows of every configuration
 
 
-def distinct_up_to_sign(rows):
-    """Each row once up to sign: a row equal to another up to sign adds no rank."""
-    seen = set()
-    for row in rows:
-        key = tuple(sorted(row.items()))
-        if key[0][1] < 0:
-            key = tuple((c, -v) for c, v in key)
-        if key not in seen:
-            seen.add(key)
-            yield row
-
-
 def assert_admissible_rows_span_every_configuration(phi, radius, graph, base):
     """The kernel's rows and the rows of every configuration of the window
     have equal rank, and together no more."""
     uid, by_site = kernel_index(_kernel_unknowns(phi, radius, graph, base))
     admissible = list(_kernel_rows(phi, radius, graph, base, uid))
     rank = linalg.rank(admissible)
-    every = linalg.echelon(distinct_up_to_sign(
-        reference_kernel_rows(phi, radius, graph, base, len(graph.vertices), uid, by_site)
-    ))
+    every = linalg.RowReducer()  # every row here is an integer row
+    for row in reference_kernel_rows(phi, radius, graph, base, len(graph.vertices), uid,
+                                     by_site):
+        every.add(row)
     assert every.rank == rank
     for row in admissible:
         every.add(row)
