@@ -295,8 +295,6 @@ def consv_basis(phi: Interaction, base: int) -> list[ConservedQuantity]:
 # ---------------------------------------------------------------------------
 # built-in interactions
 
-BUILTIN_IDS = ("exclusion", "multispecies:<kappa>", "two-species-ac", "quastel2")
-
 
 def _multispecies(kappa: int) -> Interaction:
     states = state_space([str(i) for i in range(kappa + 1)], base="0")

@@ -21,19 +21,19 @@ from . import caps
 from .errors import CapExceededError, Record, SchemaError, SupportError
 from .interaction import StateSpace
 from .rationals import ensure_fraction, require_int
-from .sitegraph import Site
+from .sitegraph import Site, are_sites
 
 Assignment = tuple[int, ...]
 
 
-def _sorted_support(sites) -> tuple[Site, ...]:
-    sites = list(sites)
+def _sorted_support(sites, like: tuple[Site, ...] = ()) -> tuple[Site, ...]:
+    """``sites`` sorted if they are distinct sites of one kind, ``like``'s if any."""
+    sites = tuple(sites)
+    if not are_sites(like[:1] + sites):
+        raise SupportError(f"support {list(sites)} must be all integer or all string sites")
     if len(set(sites)) != len(sites):
         raise SupportError("support has repeated sites")
-    try:
-        return tuple(sorted(sites))
-    except TypeError as exc:
-        raise SupportError(f"support sites are not mutually orderable: {exc}") from exc
+    return tuple(sorted(sites))
 
 
 def _table_size(states: StateSpace, arity: int) -> int:
@@ -65,10 +65,6 @@ class LocalFunction(Record):
     @property
     def arity(self) -> int:
         return len(self.support)
-
-    @property
-    def n_states(self) -> int:
-        return self.states.n
 
     def index_of(self, assignment: Assignment) -> int:
         idx = 0
@@ -162,7 +158,8 @@ def _pinned(f: LocalFunction, keep: tuple[Site, ...], base: int) -> list[int]:
 def restrict(f: LocalFunction, sites, base: int) -> LocalFunction:
     """Evaluate f with every site outside ``sites`` pinned to the base state."""
     require_int(base, "base index {} out of range", 0, f.states.n)
-    keep = _sorted_support(set(sites) & set(f.support))
+    wanted = set(_sorted_support(sites, f.support))
+    keep = tuple(s for s in f.support if s in wanted)
     table = tuple(f.table[i] for i in _pinned(f, keep, base))
     return LocalFunction(states=f.states, support=keep, table=table)
 
@@ -208,6 +205,7 @@ def assemble(
     supp = _sorted_support(support)
     supp_set = set(supp)
     for lam, comp in components.items():
+        _sorted_support(lam, supp)
         if states is None:
             states = comp.states
         elif comp.states != states:

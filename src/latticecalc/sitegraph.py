@@ -3,16 +3,16 @@
 Four kinds are supported.  ``explicit`` graphs list their vertices and edges
 outright; ``path`` and ``cycle`` are finite integer graphs; ``lattice_z`` is a
 finite window [a, b] of the integer lattice whose edges join sites at distance
-at most k.  A lattice window reports ``is_window_of_infinite`` to record that
-it is a truncated view of an unbounded graph, which matters to operations that
-reason about translation-invariant families.
+at most k, a truncated view of an unbounded graph (``is_window_of_infinite``).
+``are_sites`` is the one rule for what a site is: an ``int`` (never a
+``bool``) or a ``str``, one kind per graph or support.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from .errors import (
     AsymmetricEdgesError,
@@ -20,9 +20,17 @@ from .errors import (
     SchemaError,
     UnknownVertexError,
 )
-from .rationals import parse_int, parse_list, require_int
+from .rationals import ensure_fraction, parse_int, parse_list, require_int
 
 Site = int | str
+
+
+def are_sites(sites) -> bool:
+    """True when ``sites`` are all ``int`` (never ``bool``) or all ``str``,
+    as the empty collection is; every check of what a site is comes here."""
+    kinds = {type(x) for x in sites}
+    return kinds <= {int} or kinds <= {str}
+
 
 EXPLICIT = "explicit"
 PATH = "path"
@@ -44,30 +52,22 @@ class SiteGraph(Record):
             raise SchemaError(f"unknown graph kind {self.kind!r}")
         if not self.vertices:
             raise SchemaError("graph needs at least one vertex")
-        site_type = type(self.vertices[0])
-        if site_type not in (int, str) or any(
-            type(x) is not site_type for x in self.vertices
-        ):
+        if not are_sites(self.vertices):
             raise SchemaError("vertices must be all integers or all strings")
         if len(set(self.vertices)) != len(self.vertices):
             raise SchemaError("duplicate vertices")
-        vset = set(self.vertices)
+        self.require_vertex(*chain.from_iterable(self.edges))
         for x, y in self.edges:
-            if not all(type(v) is site_type and v in vset for v in (x, y)):
-                raise UnknownVertexError(f"edge ({x!r}, {y!r}) leaves the vertex set")
             if x == y:
                 raise SchemaError(f"self-loop at {x!r}")
             if (y, x) not in self.edges:
                 raise AsymmetricEdgesError(f"missing reverse of edge ({x!r}, {y!r})")
-        self._check_connected()
+        if len(dict(self._parents(self.vertices[0]))) != len(self.vertices):
+            raise SchemaError("graph is not connected")
 
     @property
     def is_window_of_infinite(self) -> bool:
         return self.kind == LATTICE_Z
-
-    def _check_connected(self) -> None:
-        if len(dict(self._parents(self.vertices[0]))) != len(self.vertices):
-            raise SchemaError("graph is not connected")
 
     def _parents(self, x: Site):
         """(site, parent) pairs breadth-first from x, starting with (x, None);
@@ -86,17 +86,21 @@ class SiteGraph(Record):
     def _vertex_set(self) -> frozenset[Site]:
         return frozenset(self.vertices)
 
-    def require_vertex(self, x: Site) -> None:
-        if x not in self._vertex_set:
-            raise UnknownVertexError(f"not a vertex: {x!r}")
+    def require_vertex(self, *sites: Site) -> None:
+        """Refuse ``sites`` unless each is a vertex: ``True`` and ``1.0`` are not 1."""
+        if are_sites((self.vertices[0], *sites)) and self._vertex_set.issuperset(sites):
+            return
+        for x in sites:  # name the first site that is not a vertex
+            if not (are_sites((self.vertices[0], x)) and x in self._vertex_set):
+                raise UnknownVertexError(f"not a vertex: {x!r}")
 
     def parse_site(self, token) -> Site:
         """The site a document or command-line token names, not checked for
         membership: integer-vertex graphs read strings through ``parse_int``."""
-        site_type, bad = type(self.vertices[0]), f"{token!r} cannot name a site of this graph"
-        if type(token) is site_type:
+        bad = f"{token!r} cannot name a site of this graph"
+        if are_sites((self.vertices[0], token)):
             return token
-        if site_type is int and isinstance(token, str):
+        if isinstance(token, str):  # so the graph's sites are integers
             return parse_int(token, bad)
         raise SchemaError(bad)
 
@@ -188,8 +192,7 @@ def path_to(start, goal, step) -> list | None:
 
 def shortest_path(g: SiteGraph, x: Site, y: Site) -> list[Site]:
     """Vertices of a shortest path from x to y, ties broken by sorted neighbors."""
-    g.require_vertex(y)
-    g.require_vertex(x)
+    g.require_vertex(y, x)
     return path_to(x, y, g._adjacency.__getitem__)
 
 
@@ -202,9 +205,9 @@ def ball(g: SiteGraph, x: Site, radius) -> frozenset[Site]:
     """Sites at distance strictly less than ``radius`` from x.
 
     The strict inequality means ``ball(g, x, 0)`` is empty and
-    ``ball(g, x, 1)`` is ``{x}``.  ``radius`` may be an int or a Fraction.
+    ``ball(g, x, 1)`` is ``{x}``.  ``radius`` is exact: an int or a Fraction.
     """
-    r = Fraction(radius)
+    r = ensure_fraction(radius)
     if r < 0:
         raise SchemaError("radius must be nonnegative")
     depth: dict[Site, int] = {}
@@ -219,8 +222,7 @@ def ball(g: SiteGraph, x: Site, radius) -> frozenset[Site]:
 def diameter_of(g: SiteGraph, sites) -> int:
     """Max pairwise distance within ``sites``; 0 for the empty set and singletons."""
     sites = list(sites)
-    for s in sites:
-        g.require_vertex(s)
+    g.require_vertex(*sites)
     best = 0
     for i, x in enumerate(sites):
         for y in sites[i + 1 :]:

@@ -33,7 +33,7 @@ from .errors import (
 from .interaction import ConservedQuantity, StateSpace
 from .localfn import ExactSupportFunction, LocalFunction, assemble, expand
 from .rationals import format_rational, parse_list, parse_rational, require_int
-from .sitegraph import LATTICE_Z, Site, SiteGraph, ball, diameter_of
+from .sitegraph import LATTICE_Z, Site, SiteGraph, are_sites, ball, diameter_of
 
 EXPLICIT = "explicit"
 TRANSLATED = "translated"
@@ -62,15 +62,14 @@ class Configuration(Record):
     def __post_init__(self) -> None:
         n = self.states.n
         require_int(self.base_index, "base index {} out of range", 0, n)
-        previous = None
+        sites = [site for site, _ in self.assignments]
+        self.graph.require_vertex(*sites)
         for site, state in self.assignments:
-            self.graph.require_vertex(site)
             require_int(state, "state index {} out of range", 0, n)
             if state == self.base_index:
                 raise SchemaError(f"assignment at {site!r} equals the base state")
-            if previous is not None and not previous < site:
-                raise SchemaError("assignments must be sorted by site")
-            previous = site
+        if sites != sorted(set(sites)):
+            raise SchemaError("assignments must be sorted by site")
 
     @cached_property
     def _lookup(self) -> dict[Site, int]:
@@ -94,8 +93,7 @@ def configuration(
 ) -> Configuration:
     """Every given site must be a vertex, whatever its state; the rest hold ``base``."""
     table = dict(assignments)
-    for site in table:
-        graph.require_vertex(site)
+    graph.require_vertex(*table)
     return Configuration(
         graph=graph,
         states=states,
@@ -131,14 +129,12 @@ class UniformFunction(Record):
         if self.kind == TRANSLATED and self.graph.kind != LATTICE_Z:
             raise SchemaError("translated families require an integer-lattice window")
         seen: set[ComponentKey] = set()
-        order = [(len(key), key) for key, _ in self.components]
-        if order != sorted(order):
-            raise SchemaError("components must be sorted by (size, support)")
         for key, comp in self.components:
             if key in seen:
                 raise SchemaError(f"duplicate component support {key}")
             seen.add(key)
-            if comp.support != key:
+            # keys are sites of the graph's kind, so all of one kind and sortable
+            if comp.support != key or not are_sites((self.graph.vertices[0], *key)):
                 raise SupportError(f"component keyed {key} has support {comp.support}")
             if comp.states != self.states:
                 raise MismatchError("component built over a different state space")
@@ -155,6 +151,9 @@ class UniformFunction(Record):
                     raise LocalityError(f"template {key} exceeds radius {self.radius}")
             elif key and diameter_of(self.graph, key) > self.radius:
                 raise LocalityError(f"support {key} exceeds radius {self.radius}")
+        order = [(len(key), key) for key, _ in self.components]
+        if order != sorted(order):
+            raise SchemaError("components must be sorted by (size, support)")
 
     def component_map(self) -> dict[ComponentKey, ExactSupportFunction]:
         return dict(self.components)
@@ -168,6 +167,8 @@ class UniformFunction(Record):
 
 def _uniform(kind, states, graph, base, radius, components) -> UniformFunction:
     """The family with zero components dropped, sorted by (size, support)."""
+    if not are_sites([graph.vertices[0], *(s for key in components for s in key)]):
+        raise SupportError(f"supports {list(components)} are not sites of the graph's kind")
     normalized = []
     for key, comp in components.items():
         if not isinstance(comp, ExactSupportFunction):
@@ -367,12 +368,12 @@ def sum_of_uniformly_local(
     require_int(radius, "radius must be a nonnegative integer")
     if not system:
         raise SchemaError("empty system; pass at least one site function")
+    graph.require_vertex(*system)
     sites = sorted(system)
     states = system[sites[0]].states
     require_int(base, "base index {} out of range", 0, states.n)
     for x in sites:
         fx = system[x]
-        graph.require_vertex(x)
         if fx.states != states:
             raise MismatchError("system members disagree on the state space")
         allowed = ball(graph, x, radius)
@@ -450,11 +451,9 @@ def rebase(f: UniformFunction, new_base: int) -> UniformFunction:
 def _document_support(raw) -> tuple:
     """Validate a document's support listing (must be ascending, no repeats)."""
     support = tuple(parse_list(raw, "a local function's 'support' must be a list"))
-    try:
-        ordered = tuple(sorted(set(support)))
-    except TypeError as exc:
-        raise SchemaError(f"support sites are not mutually orderable: {exc}") from exc
-    if support != ordered:
+    if not are_sites(support):
+        raise SchemaError(f"support {list(support)} must list all integer or all string sites")
+    if support != tuple(sorted(set(support))):
         raise SchemaError(
             f"support {list(support)} must be listed in ascending order without repeats"
         )
@@ -492,7 +491,7 @@ def load_local_function(doc: dict, states: StateSpace) -> LocalFunction:
     try:
         support = _document_support(doc["support"])
         table_doc = doc["table"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise SchemaError(f"local-function document needs 'support' and 'table': {exc}") from exc
     entries = _parse_table(table_doc, states, support)
     return LocalFunction.from_entries(states, support, entries)
@@ -572,8 +571,9 @@ def load_configuration(
     table = {graph.parse_site(key): states.index(label) for key, label in raw.items()}
     if len(table) != len(raw):
         raise SchemaError("two assignment keys name the same site")
-    filled = {**dict.fromkeys(graph.vertices, own), **table}
-    return configuration(graph, states, own if base is None else base, filled)
+    if base not in (None, own):  # then every unlisted site is a non-base assignment
+        table = {**dict.fromkeys(graph.vertices, own), **table}
+    return configuration(graph, states, own if base is None else base, table)
 
 
 def configuration_to_document(eta: Configuration) -> dict:

@@ -293,6 +293,17 @@ def test_configuration_document_roundtrip():
     assert load_configuration(doc, ST, G) == eta
 
 
+@pytest.mark.parametrize("base", [None, 0, 1, 2])
+def test_configuration_document_read_at_any_base_keeps_every_state(base):
+    doc = {"base": "0", "assignments": {"-3": "-1", "2": "1", "4": "0"}}
+    eta = load_configuration(doc, ST, G, base)
+    assert eta.base_index == (1 if base is None else base)
+    assert [eta.state_at(x) for x in G.vertices] == [
+        {-3: 0, 2: 2}.get(x, 1) for x in G.vertices]
+    with pytest.raises(errors.UnknownVertexError):
+        load_configuration({"base": "0", "assignments": {"9": "0"}}, ST, G, base)
+
+
 def test_configuration_document_sites_follow_the_vertex_type():
     with pytest.raises(errors.SchemaError):
         load_configuration({"base": "0", "assignments": {"a": "1"}}, ST, G)
