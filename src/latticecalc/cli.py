@@ -45,7 +45,7 @@ from .interaction import (
     state_space,
 )
 from .localfn import assemble, expand, is_exact_support
-from .rationals import format_rational, parse_int
+from .rationals import format_rational, parse_int, parse_object
 from .sitegraph import (
     SiteGraph,
     cycle_graph,
@@ -143,13 +143,13 @@ def _function_file(path: str, inputs: dict, graph_arg: str | None = None, states
     over ``states`` if given: the labels must agree, the base may differ."""
     doc, digest = _read_json(path)
     inputs["function"] = digest
-    if not isinstance(doc, dict) or "states" not in doc or "base" not in doc:
-        raise SchemaError(f"{path} needs embedded 'states' and 'base'")
-    own = state_space(doc["states"], doc["base"])
+    parse_object(doc, f"function file {path}", ("states", "base"))
+    own = state_space(doc.pop("states"), doc["base"])
+    embedded = doc.pop("graph", None)
     if graph_arg is not None:
         graph = _graph_arg(graph_arg, inputs)
-    elif "graph" in doc:
-        graph = load_graph(doc["graph"])
+    elif embedded is not None:
+        graph = load_graph(embedded)
     else:
         raise SchemaError(f"{path} embeds no 'graph' and no --graph was given")
     states = states or own
@@ -276,9 +276,8 @@ def cmd_expand(args) -> int:
     inputs: dict = {}
     doc, digest = _read_json(args.function)
     inputs["function"] = digest
-    if not isinstance(doc, dict) or "states" not in doc:
-        raise SchemaError(f"{args.function} needs an embedded 'states' list")
-    states = state_space(doc["states"], doc.get("base"))
+    parse_object(doc, f"function file {args.function}", ("states",))
+    states = state_space(doc.pop("states"), doc.pop("base", None))
     fn = load_local_function(doc, states)
     base = _base_index(states, args.base)
     comps = expand(fn, base)

@@ -22,7 +22,8 @@ from .errors import (
     SchemaError,
     UnknownStateError,
 )
-from .rationals import ensure_fraction, format_rational, parse_int, parse_list, require_int
+from .rationals import (ensure_fraction, format_rational, parse_int, parse_list, parse_object,
+                        require_int)
 from .sitegraph import breadth_first, path_to
 
 PairIdx = tuple[int, int]
@@ -40,6 +41,8 @@ class StateSpace(Record):
             raise SchemaError("state space needs at least one label")
         if any(not isinstance(s, str) or not s for s in self.labels):
             raise SchemaError("state labels must be nonempty strings")
+        if any("," in s for s in self.labels):  # "," joins the labels of a table key
+            raise SchemaError("state labels must not contain ','")
         if len(set(self.labels)) != len(self.labels):
             raise SchemaError("duplicate state labels")
         if self.base_index is not None:
@@ -50,6 +53,11 @@ class StateSpace(Record):
         return len(self.labels)
 
     def index(self, label: str) -> int:
+        """The index of ``label``; every state label read from a document or
+        the command line comes here.  A label that is not a ``str`` is a
+        ``SchemaError``, a ``str`` that names no state an ``UnknownStateError``."""
+        if not isinstance(label, str):
+            raise SchemaError(f"a state label is a string, got {label!r}")
         try:
             return self.labels.index(label)
         except ValueError:
@@ -59,13 +67,8 @@ class StateSpace(Record):
 def state_space(labels, base: str | None = None) -> StateSpace:
     if not isinstance(labels, (list, tuple)):
         raise SchemaError(f"state labels must be a list, got {type(labels).__name__}")
-    labels = tuple(labels)
-    base_index = None
-    if base is not None:
-        if base not in labels:
-            raise UnknownStateError(f"base {base!r} not among the state labels")
-        base_index = labels.index(base)
-    return StateSpace(labels=labels, base_index=base_index)
+    states = StateSpace(labels=tuple(labels))
+    return states if base is None else states.replace(base_index=states.index(base))
 
 
 class Interaction(Record):
@@ -134,15 +137,10 @@ def make_interaction(states: StateSpace, edges, symmetry: str = "lenient") -> In
 
 def load_interaction(doc: dict) -> Interaction:
     """Build an interaction from its JSON document form."""
-    if not isinstance(doc, dict):
-        raise SchemaError("interaction document must be an object")
-    try:
-        labels, raw_edges = doc["states"], doc["edges"]
-    except KeyError as exc:
-        raise SchemaError(f"interaction document needs 'states' and 'edges': {exc}") from exc
-    states = state_space(labels, doc.get("base"))
+    parse_object(doc, "interaction document", ("states", "edges"), ("base", "symmetry"))
+    states = state_space(doc["states"], doc.get("base"))
     edges = []
-    for item in parse_list(raw_edges, "interaction 'edges' must be a list"):
+    for item in parse_list(doc["edges"], "interaction 'edges' must be a list"):
         bad = f"bad edge entry {item!r}: not a list of two pairs of two labels"
         (a, b), (c, d) = (parse_list(pair, bad, 2) for pair in parse_list(item, bad, 2))
         edges.append(

@@ -1,5 +1,6 @@
 """Integers read from text and handed over as values, exact rationals read
-from text, canonical "p/q" or "n" form, and the lists of input documents."""
+from text, canonical "p/q" or "n" form, and the lists and objects of input
+documents."""
 
 from __future__ import annotations
 
@@ -38,6 +39,23 @@ def parse_list(value, message: str, size: int | None = None) -> list:
     if type(value) is list and size in (None, len(value)):
         return value
     raise SchemaError(message)
+
+
+def parse_object(value, what: str, required: tuple = (), optional: tuple | None = None) -> dict:
+    """``value`` if it is a JSON object holding every ``required`` key and, when
+    ``optional`` is given, no key outside ``required`` and ``optional``; anything
+    else raises ``SchemaError`` naming ``what`` and the first key at fault.
+    Every input document and embedded object is read here."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be an object")
+    for key in required:
+        if key not in value:
+            raise SchemaError(f"{what} needs {key!r}")
+    if optional is not None:
+        for key in value:
+            if key not in required and key not in optional:
+                raise SchemaError(f"{what} has an unknown key {key!r}")
+    return value
 
 
 def parse_rational(text: str) -> Fraction:

@@ -20,7 +20,7 @@ from .errors import (
     SchemaError,
     UnknownVertexError,
 )
-from .rationals import ensure_fraction, parse_int, parse_list, require_int
+from .rationals import ensure_fraction, parse_int, parse_list, parse_object, require_int
 
 Site = int | str
 
@@ -232,27 +232,33 @@ def diameter_of(g: SiteGraph, sites) -> int:
     return best
 
 
+# each kind's required and optional document keys
+_GRAPH_KEYS = {LATTICE_Z: (("kind", "window"), ("k",)), PATH: (("kind", "n"), ()),
+               CYCLE: (("kind", "n"), ()),
+               EXPLICIT: (("kind", "vertices", "edges"), ("symmetry",))}
+
+
 def load_graph(doc: dict) -> SiteGraph:
     """Build a graph from its JSON document form."""
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise SchemaError("graph document needs a 'kind'")
-    kind = doc["kind"]
+    kind = parse_object(doc, "graph document", ("kind",))["kind"]
+    if kind not in _KINDS:
+        raise SchemaError(f"unknown graph kind {kind!r}")
+    parse_object(doc, f"{kind} graph document", *_GRAPH_KEYS[kind])
     if kind == LATTICE_Z:
-        a, b = parse_list(doc.get("window"), "a lattice 'window' must list two integers", 2)
+        a, b = parse_list(doc["window"], "a lattice 'window' must list two integers", 2)
         return lattice_window(doc.get("k", 1), a, b)
     if kind == PATH:
-        return path_graph(doc.get("n", 0))
+        return path_graph(doc["n"])
     if kind == CYCLE:
-        return cycle_graph(doc.get("n", 0))
-    if kind == EXPLICIT:
-        vertices = parse_list(doc.get("vertices"), "explicit graph 'vertices' must be a list")
-        bad = "explicit graph 'edges' must be a list of two-vertex lists"
-        edges = [tuple(parse_list(e, bad, 2)) for e in parse_list(doc.get("edges"), bad)]
-        try:
-            return explicit_graph(vertices, edges, doc.get("symmetry", "lenient"))
-        except TypeError as exc:
-            raise SchemaError(f"bad explicit graph document: {exc}") from exc
-    raise SchemaError(f"unknown graph kind {kind!r}")
+        return cycle_graph(doc["n"])
+    vertices = parse_list(doc["vertices"], "explicit graph 'vertices' must be a list")
+    bad = "explicit graph 'edges' must be a list of two-vertex lists"
+    edges = [parse_list(e, bad, 2) for e in parse_list(doc["edges"], bad)]
+    for edge in edges:
+        if not are_sites([*vertices[:1], *edge]):
+            raise SchemaError(f"explicit graph edge {edge!r} does not join two sites "
+                              "of the vertices' kind")
+    return explicit_graph(vertices, edges, doc.get("symmetry", "lenient"))
 
 
 def graph_to_document(g: SiteGraph) -> dict:

@@ -14,7 +14,7 @@ from itertools import accumulate, repeat
 from . import caps
 from .errors import MismatchError, Record, SchemaError, UnknownVertexError
 from .interaction import Interaction, PhiEdge, StateSpace, pair_exchange_path
-from .rationals import parse_list, require_int
+from .rationals import parse_list, parse_object, require_int
 from .sitegraph import Site, SiteGraph, shortest_path
 from .uniform import Configuration, UniformFunction, configuration, difference
 
@@ -65,14 +65,10 @@ def _read_move(doc, phi: Interaction, graph: SiteGraph, states: StateSpace):
     """The ordered edge and interaction edge a transition document names,
     checked against the graph and the interaction.  Every replay of a
     document goes through here; the caller checks the source states."""
-    if not isinstance(doc, dict):
-        raise SchemaError("transition document must be an object")
-    try:
-        fields = doc["edge"], doc["from"], doc["to"]
-    except KeyError as exc:
-        raise SchemaError(f"transition document needs edge/from/to: {exc}") from exc
+    keys = ("edge", "from", "to")
+    parse_object(doc, "transition document", keys, ())
     bad = "transition edge/from/to must each list two entries"
-    (x, y), from_labels, to_labels = (parse_list(v, bad, 2) for v in fields)
+    (x, y), from_labels, to_labels = (parse_list(doc[key], bad, 2) for key in keys)
     x, y = graph.parse_site(x), graph.parse_site(y)
     phi_edge = (
         (states.index(from_labels[0]), states.index(from_labels[1])),

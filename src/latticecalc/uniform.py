@@ -32,11 +32,12 @@ from .errors import (
 )
 from .interaction import ConservedQuantity, StateSpace
 from .localfn import ExactSupportFunction, LocalFunction, assemble, expand
-from .rationals import format_rational, parse_list, parse_rational, require_int
+from .rationals import format_rational, parse_list, parse_object, parse_rational, require_int
 from .sitegraph import LATTICE_Z, Site, SiteGraph, are_sites, ball, diameter_of
 
 EXPLICIT = "explicit"
 TRANSLATED = "translated"
+_LISTED = {EXPLICIT: "components", TRANSLATED: "template"}  # each kind's list of components
 
 ComponentKey = tuple[Site, ...]
 
@@ -461,10 +462,8 @@ def _document_support(raw) -> tuple:
 
 
 def _parse_table(doc_table: Mapping[str, str], states: StateSpace, support) -> dict:
-    if not isinstance(doc_table, dict):
-        raise SchemaError("a local-function 'table' must be an object")
     entries = {}
-    for key, raw in doc_table.items():
+    for key, raw in parse_object(doc_table, "a local-function 'table'").items():
         labels = key.split(",") if key else []
         if len(labels) != len(support):
             raise SchemaError(
@@ -486,14 +485,9 @@ def _format_table(comp: LocalFunction) -> dict[str, str]:
 
 def load_local_function(doc: dict, states: StateSpace) -> LocalFunction:
     """Parse {"support": [...], "table": {...}} into a local function."""
-    if not isinstance(doc, dict):
-        raise SchemaError("local-function document must be an object")
-    try:
-        support = _document_support(doc["support"])
-        table_doc = doc["table"]
-    except KeyError as exc:
-        raise SchemaError(f"local-function document needs 'support' and 'table': {exc}") from exc
-    entries = _parse_table(table_doc, states, support)
+    parse_object(doc, "local-function document", ("support", "table"), ())
+    support = _document_support(doc["support"])
+    entries = _parse_table(doc["table"], states, support)
     return LocalFunction.from_entries(states, support, entries)
 
 
@@ -503,10 +497,8 @@ def local_function_to_document(f: LocalFunction) -> dict:
 
 def load_component_list(items, states: StateSpace, base: int):
     """Parse a list of {"support": [...], "table": {...}} component documents."""
-    if not isinstance(items, list):
-        raise SchemaError("a uniform function's components must be a list")
     comps: dict[ComponentKey, ExactSupportFunction] = {}
-    for item in items:
+    for item in parse_list(items, "a uniform function's components must be a list"):
         fn = load_local_function(item, states)
         if fn.support in comps:
             raise SchemaError(f"duplicate component support {fn.support}")
@@ -526,21 +518,17 @@ def component_list_to_document(comps) -> list:
 
 
 def load_uniform(doc: dict, states: StateSpace, graph: SiteGraph) -> UniformFunction:
-    """Build a uniform function from its JSON document form."""
-    if not isinstance(doc, dict):
-        raise SchemaError("uniform-function document must be an object")
-    if "base" not in doc:
-        raise SchemaError("uniform-function document needs a 'base'")
+    """Build a uniform function from its JSON document form; without a
+    ``kind`` it is ``translated`` when it lists a ``template``."""
+    what = "uniform-function document"
+    kind = parse_object(doc, what).get("kind", TRANSLATED if "template" in doc else EXPLICIT)
+    if kind not in (EXPLICIT, TRANSLATED):
+        raise SchemaError(f"unknown uniform-function kind {kind!r}")
+    parse_object(doc, f"{kind} {what}", ("base",), ("kind", "radius", _LISTED[kind]))
     base = states.index(doc["base"])
-    kind = doc.get("kind", TRANSLATED if "template" in doc else EXPLICIT)
     radius = require_int(doc.get("radius", 0), "'radius' must be a nonnegative integer")
-    if kind == EXPLICIT:
-        comps = load_component_list(doc.get("components", []), states, base)
-        return explicit_uniform(states, graph, base, radius, comps)
-    if kind == TRANSLATED:
-        comps = load_component_list(doc.get("template", []), states, base)
-        return translated_uniform(states, graph, base, radius, comps)
-    raise SchemaError(f"unknown uniform-function kind {kind!r}")
+    comps = load_component_list(doc.get(_LISTED[kind], []), states, base)
+    return _uniform(kind, states, graph, base, radius, comps)
 
 
 def uniform_to_document(f: UniformFunction) -> dict:
@@ -549,11 +537,7 @@ def uniform_to_document(f: UniformFunction) -> dict:
         "base": f.states.labels[f.base_index],
         "radius": f.radius,
     }
-    listed = component_list_to_document(f.component_map())
-    if f.kind == EXPLICIT:
-        doc["components"] = listed
-    else:
-        doc["template"] = listed
+    doc[_LISTED[f.kind]] = component_list_to_document(f.component_map())
     return doc
 
 
@@ -562,12 +546,9 @@ def load_configuration(
 ) -> Configuration:
     """Read {"base": ..., "assignments": {site: state}}; unlisted sites hold the
     document's base.  The result is normalised at ``base`` (default: the document's)."""
-    if not isinstance(doc, dict) or "base" not in doc:
-        raise SchemaError("configuration document needs a 'base'")
+    parse_object(doc, "configuration document", ("base",), ("assignments",))
     own = states.index(doc["base"])
-    raw = doc.get("assignments", {})
-    if not isinstance(raw, Mapping):
-        raise SchemaError("'assignments' must be an object")
+    raw = parse_object(doc.get("assignments", {}), "configuration 'assignments'")
     table = {graph.parse_site(key): states.index(label) for key, label in raw.items()}
     if len(table) != len(raw):
         raise SchemaError("two assignment keys name the same site")

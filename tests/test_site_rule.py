@@ -7,8 +7,11 @@ support that breaks the rule is a ``SupportError``, and a document support
 that breaks it is a ``SchemaError``.  One table of entry points gets each
 value that is not a site of the graph: it must be refused, never returned.
 Each entry point also gets a site it accepts, so a refusal is the value's
-doing.  Documents the library writes load back equal, and a source scan
-keeps the site checks the rule replaced from coming back.
+doing.  Every document the library writes loads back equal: interactions,
+graphs of the four kinds, uniform functions of both kinds alone and in the
+function file the command line writes, configurations, the transitions out
+of them, and local functions.  A source scan keeps the site checks the rule
+replaced from coming back.
 """
 
 import ast
@@ -22,8 +25,13 @@ from hypothesis import strategies as st
 
 import latticecalc
 from latticecalc import errors
-from latticecalc.cli import main
-from latticecalc.interaction import builtin_interaction
+from latticecalc.cli import _function_doc, _function_file, main
+from latticecalc.interaction import (
+    builtin_interaction,
+    interaction_to_document,
+    load_interaction,
+    state_space,
+)
 from latticecalc.localfn import ExactSupportFunction, LocalFunction, assemble, restrict
 from latticecalc.sitegraph import (
     are_sites,
@@ -34,10 +42,16 @@ from latticecalc.sitegraph import (
     explicit_graph,
     graph_to_document,
     lattice_window,
+    load_graph,
     path_graph,
     shortest_path,
 )
-from latticecalc.transitions import permutation_path, swap_path
+from latticecalc.transitions import (
+    neighbors,
+    permutation_path,
+    swap_path,
+    transition_from_document,
+)
 from latticecalc.uniform import (
     Configuration,
     configuration,
@@ -45,13 +59,20 @@ from latticecalc.uniform import (
     explicit_uniform,
     families_equal,
     load_configuration,
+    load_local_function,
     load_uniform,
+    local_function_to_document,
     sum_of_uniformly_local,
     translated_uniform,
     uniform_to_document,
 )
 
-from conftest import exact_support_functions, window_configurations
+from conftest import (
+    exact_support_functions,
+    local_functions,
+    small_interactions,
+    window_configurations,
+)
 
 PHI = builtin_interaction("exclusion")
 S = PHI.states  # two states, base "0"
@@ -243,11 +264,14 @@ def test_every_configuration_accepted_loads_back_equal(data):
         offered = eta
     doc = json.loads(json.dumps(configuration_to_document(offered)))
     assert load_configuration(doc, S, graph) == offered
+    for tr in neighbors(PHI, offered):
+        doc = json.loads(json.dumps(tr.to_document()))
+        assert transition_from_document(doc, PHI, offered) == tr
 
 
 @settings(deadline=None, max_examples=120)
 @given(st.data())
-def test_every_uniform_function_accepted_loads_back_equal(data):
+def test_every_uniform_function_accepted_loads_back_equal(tmp_path_factory, data):
     graph = data.draw(st.sampled_from(GRAPHS))
     translated = graph.kind == "lattice_z" and data.draw(st.booleans())
     sites = range(0, 3) if translated else graph.vertices
@@ -265,6 +289,47 @@ def test_every_uniform_function_accepted_loads_back_equal(data):
     doc = json.loads(json.dumps(uniform_to_document(f)))
     back = load_uniform(doc, S, graph)
     assert families_equal(back, f) and back == f
+    path = tmp_path_factory.getbasetemp() / "function.json"
+    path.write_text(json.dumps(_function_doc(f)))
+    assert _function_file(str(path), {}) == (f, S, graph)
+
+
+@st.composite
+def explicit_graphs(draw):
+    """A connected explicit graph on up to five int or str vertices: a
+    random spanning tree plus a few more edges."""
+    names = draw(st.sampled_from([[-2, 0, 1, 5, 9], ["a", "b", "-1", "0", "x y"]]))
+    vertices = draw(st.permutations(names))[:draw(st.integers(1, 5))]
+    edges = [(vertices[draw(st.integers(0, i - 1))], vertices[i])
+             for i in range(1, len(vertices))]
+    edges += draw(st.lists(st.tuples(*[st.sampled_from(vertices)] * 2)
+                           .filter(lambda e: e[0] != e[1]), max_size=3))
+    return explicit_graph(vertices, edges)
+
+
+ALL_GRAPHS = st.one_of(
+    st.integers(1, 6).map(path_graph),
+    st.integers(3, 7).map(cycle_graph),
+    st.builds(lattice_window, st.integers(1, 3), st.integers(-3, 0), st.integers(0, 3)),
+    explicit_graphs(),
+)
+
+
+@settings(deadline=None, max_examples=120)
+@given(ALL_GRAPHS, small_interactions())
+def test_every_graph_and_interaction_loads_back_equal(graph, phi):
+    assert load_graph(json.loads(json.dumps(graph_to_document(graph)))) == graph
+    assert load_interaction(json.loads(json.dumps(interaction_to_document(phi)))) == phi
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.data())
+def test_every_local_function_loads_back_equal(data):
+    states = data.draw(st.sampled_from([S, state_space(["0", "ab", "-1/2"], "0")]))
+    sites = data.draw(st.sampled_from([range(-3, 4), "abcd"]))
+    f = data.draw(local_functions(states, sites=sites))
+    doc = json.loads(json.dumps(local_function_to_document(f)))
+    assert load_local_function(doc, states) == f
 
 
 # ---------------------------------------------------------------------------
