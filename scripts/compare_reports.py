@@ -4,9 +4,10 @@
 Each workload of ``perfbench/workloads.py`` is built at each seed, its input
 files are written once into a scratch directory, and every op, the warm-up
 included, runs once under each tree's ``src``.  So does a fixed list of
-parser calls: help, the version, flag errors, the dash-led or repeated
-values a command line may carry, and integers out of their range.  Stdout,
-stderr and exit status must be identical.  One line is printed per
+calls: the parser's (help, the version, flag errors, the dash-led or
+repeated values a command line may carry, and integers out of their range),
+and ``consv`` at every base of every builtin, not only at the declared one.
+Stdout, stderr and exit status must be identical.  One line is printed per
 difference, and the exit status is 1 when there is any.
 
 Example, from the root of a checkout, against a copy of the parent commit:
@@ -24,6 +25,7 @@ from pathlib import Path
 sys.dont_write_bytecode = True  # leave no cache files in perfbench/
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import oracles  # noqa: E402
 import workloads  # noqa: E402
 
 BOOT = "import sys; from latticecalc.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -49,6 +51,9 @@ PARSER_CALLS = [
     ["h0", "--interaction", "exclusion", "--graph", "lattice:1:3:0"],
     ["consv", "--interaction", "multispecies:0"],
 ]
+FIXED_CALLS = PARSER_CALLS + [["consv", "--interaction", name, f"--base={label}"]
+                              for name in workloads.BUILTINS
+                              for label in oracles.interaction(name)[0]]
 
 
 def run_op(root: Path, argv, cwd: Path, pycache: Path):
@@ -110,11 +115,11 @@ def main(argv=None) -> int:
                 count, found = compare(old, new, name, seed, scratch)
                 ops += count
                 differences += found
-        (scratch / "parser").mkdir()
-        for i, argv in enumerate(PARSER_CALLS):
-            differences += compare_call(old, new, f"parser call {i}", argv,
-                                        scratch / "parser", scratch)
-    print(f"{ops} ops on {len(args.workloads)} workloads and {len(PARSER_CALLS)} parser "
+        (scratch / "fixed").mkdir()
+        for i, argv in enumerate(FIXED_CALLS):
+            differences += compare_call(old, new, f"fixed call {i}", argv,
+                                        scratch / "fixed", scratch)
+    print(f"{ops} ops on {len(args.workloads)} workloads and {len(FIXED_CALLS)} fixed "
           f"calls, {differences} differences")
     return 1 if differences else 0
 

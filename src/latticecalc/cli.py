@@ -41,8 +41,8 @@ from .interaction import (
     consv_basis,
     is_exchangeable,
     load_interaction,
+    load_states,
     pair_exchange_path,
-    state_space,
 )
 from .localfn import assemble, expand, is_exact_support
 from .rationals import format_rational, parse_int, parse_object
@@ -140,17 +140,16 @@ def _graph_arg(token: str, inputs: dict) -> SiteGraph:
 
 def _function_file(path: str, inputs: dict, graph_arg: str | None = None, states=None):
     """Load a uniform-function file with embedded states (and usually graph),
-    over ``states`` if given: the labels must agree, the base may differ."""
+    over ``states`` if given: the labels must agree, the base may differ.  An
+    embedded graph is read whenever it is present; ``graph_arg`` wins."""
     doc, digest = _read_json(path)
     inputs["function"] = digest
     parse_object(doc, f"function file {path}", ("states", "base"))
-    own = state_space(doc.pop("states"), doc["base"])
-    embedded = doc.pop("graph", None)
-    if graph_arg is not None:
-        graph = _graph_arg(graph_arg, inputs)
-    elif embedded is not None:
-        graph = load_graph(embedded)
-    else:
+    own = load_states(doc)
+    del doc["states"]
+    embedded = load_graph(doc.pop("graph")) if "graph" in doc else None
+    graph = embedded if graph_arg is None else _graph_arg(graph_arg, inputs)
+    if graph is None:
         raise SchemaError(f"{path} embeds no 'graph' and no --graph was given")
     states = states or own
     if states.labels != own.labels:
@@ -237,12 +236,8 @@ def cmd_consv(args) -> int:
     phi = _interaction_arg(args.interaction, inputs)
     base = _base_index(phi.states, args.base)
     basis = consv_basis(phi, base)
-    verification = [
-        (
-            "pair-sum-constant",
-            "pass" if all(xi.pair_sum_constant(phi) for xi in basis) else "fail",
-        )
-    ]
+    constant = all(xi.pair_sum_constant(phi) for xi in basis)
+    verification = [("pair-sum-constant", "pass" if constant else "fail")]
     outputs = {
         "base": phi.states.labels[base],
         "dimension": len(basis),
@@ -277,20 +272,14 @@ def cmd_expand(args) -> int:
     doc, digest = _read_json(args.function)
     inputs["function"] = digest
     parse_object(doc, f"function file {args.function}", ("states",))
-    states = state_space(doc.pop("states"), doc.pop("base", None))
-    fn = load_local_function(doc, states)
+    states = load_states(doc)
+    fn = load_local_function({k: v for k, v in doc.items() if k not in ("states", "base")}, states)
     base = _base_index(states, args.base)
     comps = expand(fn, base)
     rebuilt = assemble(comps, fn.support, states)
-    verification = [
-        ("reassemble", "pass" if rebuilt == fn else "fail"),
-        (
-            "exact-support",
-            "pass"
-            if all(is_exact_support(c, base) for k, c in comps.items() if k)
-            else "fail",
-        ),
-    ]
+    exact = all(is_exact_support(c, base) for k, c in comps.items() if k)
+    verification = [("reassemble", "pass" if rebuilt == fn else "fail"),
+                    ("exact-support", "pass" if exact else "fail")]
     outputs = {
         "base": states.labels[base],
         "components": component_list_to_document(comps),

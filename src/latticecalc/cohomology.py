@@ -20,7 +20,7 @@ Three entry points:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 from . import caps, linalg
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
     VerificationError,
     WindowTooSmallError,
 )
-from .interaction import ConservedQuantity, Interaction
+from .interaction import ConservedQuantity, Interaction, _candidate_supports, _template_rows
 from .localfn import LocalFunction
 from .rationals import require_int
 from .sitegraph import LATTICE_Z, SiteGraph
@@ -163,10 +163,9 @@ def extract_conserved(f: UniformFunction, phi: Interaction) -> ExtractionResult:
         if len(key) >= 2:
             return ExtractionResult(outcome=NONZERO_MULTI_SITE, witness=key)
     xi = ConservedQuantity(states=f.states, values=ref, base_index=f.base_index)
-    for edge in sorted(phi.edges):
-        (a, b), (c, d) = edge
-        if xi.values[a] + xi.values[b] != xi.values[c] + xi.values[d]:
-            return ExtractionResult(outcome=NOT_CONSERVED_PAIR, witness=edge)
+    edge = xi.unconserved_edge(phi)
+    if edge is not None:
+        return ExtractionResult(outcome=NOT_CONSERVED_PAIR, witness=edge)
     rebuilt = xi_X(xi, f.graph, f.base_index)
     if not families_equal(f, rebuilt):
         return ExtractionResult(outcome=NOT_INVARIANT, witness=None)  # defensive
@@ -186,20 +185,6 @@ class KernelReport(Record):
     constraint_rank: int
     dimension: int
     basis: tuple[UniformFunction, ...]
-
-
-def _candidate_supports(a: int, b: int, reach: int) -> list[tuple[int, ...]]:
-    """Nonempty sets of sites in [a, b] spanning at most ``reach``, sorted by
-    (size, sites): on a range-k lattice window, the sets of diameter <= R
-    when ``reach`` is k·R."""
-    out = []
-    for x in range(a, b + 1):
-        others = range(x + 1, min(x + reach, b) + 1)
-        for r in range(len(others) + 1):
-            for combo in combinations(others, r):
-                out.append((x, *combo))
-    out.sort(key=lambda lam: (len(lam), lam))
-    return out
 
 
 def _inner_window(graph: SiteGraph, radius: int) -> tuple[int, int]:
@@ -231,62 +216,6 @@ def _kernel_unknowns(phi: Interaction, radius: int, graph: SiteGraph, base: int)
         for entry in product(nonbase, repeat=len(lam)):
             unknowns.append((lam, entry))
     return unknowns
-
-
-def _template_rows(phi: Interaction, reach: int, j: int, base: int):
-    """Constraint rows at the edge (0, j) of the lattice, keyed by (support,
-    entry) relative to 0: one per unordered move there and admissible
-    pattern.  Their span is that of the rows of every configuration.
-
-    Fix the states at 0 and j and a move there.  The row of a configuration
-    P sums, over candidate supports λ (span <= ``reach``) meeting {0, j}, a
-    term that depends on P only through P on λ∖{0, j}.  Write S for the
-    non-base sites of P outside {0, j} and P|T for P with every site of S∖T
-    set to base.  Möbius inversion over subsets of S gives row(P) =
-    Σ_{T⊆S} G_T with G_T = Σ_{U⊆T} (-1)^{|T|-|U|} row(P|U), and G_T
-    vanishes unless T ⊆ λ∖{0, j} for some λ, so unless T ∪ {0} or T ∪ {j}
-    spans at most ``reach``.  Call such T *admissible*; every subset of one
-    is too.  So the row of any configuration, of any size, is a signed sum
-    of rows of the admissible patterns P|U: the λ∖{0, j} of the candidates
-    λ in [−reach, j + reach] through 0 or j.
-
-    A move from pattern B to A changes the sites Δ.  Its row is +1 at
-    (λ, A|λ) for each candidate λ ⊆ nonbase(A) meeting Δ and −1 at (λ, B|λ)
-    for each candidate λ ⊆ nonbase(B) meeting Δ.  Nothing cancels: A|λ ≠ B|λ
-    when λ meets Δ.  So every entry is ±1, and the singleton of a changed
-    site makes every row nonempty.  The move from A back to B (A is
-    admissible too) has the negated row, so only moves with (c, d) > (s, t)
-    fire.  Patterns come by (|S|, S), then values, to keep fill low.
-    """
-    states = range(phi.states.n)
-    nonbase = [s for s in states if s != base]
-
-    def columns(config: dict, order, delta):
-        """Keys (λ, config|λ) of the candidate λ ⊆ nonbase(config) meeting delta."""
-        sites = [s for s in order if config[s] != base]
-        for r in range(1, len(sites) + 1):
-            for lam in combinations(sites, r):
-                if lam[-1] - lam[0] <= reach and not delta.isdisjoint(lam):
-                    yield lam, tuple(config[s] for s in lam)
-
-    patterns = {
-        tuple(s for s in lam if s != 0 and s != j)
-        for lam in _candidate_supports(-reach, j + reach, reach)
-        if 0 in lam or j in lam
-    }
-    for sites in sorted(patterns, key=lambda sites: (len(sites), sites)):
-        order = sorted((*sites, 0, j))
-        for s, t, *values in product(states, states, *[nonbase] * len(sites)):
-            pattern = dict(zip(sites, values))
-            pattern[0], pattern[j] = s, t
-            for _, _, (c, d) in phi.edge_moves[(s, t)]:
-                if (c, d) <= (s, t):
-                    continue
-                after = {**pattern, 0: c, j: d}
-                delta = {site for site, old, new in ((0, s, c), (j, t, d)) if old != new}
-                row = dict.fromkeys(columns(after, order, delta), 1)
-                row.update(dict.fromkeys(columns(pattern, order, delta), -1))
-                yield row
 
 
 def _kernel_rows(phi: Interaction, radius: int, graph: SiteGraph, base: int, uid: dict):

@@ -4,14 +4,16 @@ An interaction is a symmetric set of directed edges between ordered pairs of
 states: an edge ((a, b), (c, d)) says that two neighboring sites holding
 (a, b) may move to (c, d).  A conserved quantity assigns a rational to each
 state so that the pair sum is constant along every edge; equivalently its
-pair sum is constant on the connected components of the pair graph.
+pair sum is constant on the connected components of the pair graph.  Those
+are the radius-0 case of the lattice constraint rows ``_template_rows``, so
+the conserved quantities and the invariance kernel share one row generator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 
 from . import linalg
 from .errors import (
@@ -69,6 +71,13 @@ def state_space(labels, base: str | None = None) -> StateSpace:
         raise SchemaError(f"state labels must be a list, got {type(labels).__name__}")
     states = StateSpace(labels=tuple(labels))
     return states if base is None else states.replace(base_index=states.index(base))
+
+
+def load_states(doc: dict) -> StateSpace:
+    """A document's ``states``, based at its ``base`` when that key is present:
+    a present key is read by the label rule, so ``null`` is refused, not absent."""
+    states = state_space(doc["states"])
+    return states.replace(base_index=states.index(doc["base"])) if "base" in doc else states
 
 
 class Interaction(Record):
@@ -138,7 +147,7 @@ def make_interaction(states: StateSpace, edges, symmetry: str = "lenient") -> In
 def load_interaction(doc: dict) -> Interaction:
     """Build an interaction from its JSON document form."""
     parse_object(doc, "interaction document", ("states", "edges"), ("base", "symmetry"))
-    states = state_space(doc["states"], doc.get("base"))
+    states = load_states(doc)
     edges = []
     for item in parse_list(doc["edges"], "interaction 'edges' must be a list"):
         bad = f"bad edge entry {item!r}: not a list of two pairs of two labels"
@@ -256,34 +265,105 @@ class ConservedQuantity(Record):
             for label, v in zip(self.states.labels, self.values)
         }
 
+    def unconserved_edge(self, phi: Interaction) -> PhiEdge | None:
+        """The first interaction edge, in sorted order, along which the pair
+        sum changes, or None."""
+        v = self.values
+        return next((((a, b), (c, d)) for (a, b), (c, d) in sorted(phi.edges)
+                     if v[a] + v[b] != v[c] + v[d]), None)
+
     def pair_sum_constant(self, phi: Interaction) -> bool:
         """True when the pair sum is constant along every interaction edge."""
-        return all(
-            self.values[a] + self.values[b] == self.values[c] + self.values[d]
-            for (a, b), (c, d) in phi.edges
-        )
+        return self.unconserved_edge(phi) is None
+
+
+def _candidate_supports(a: int, b: int, reach: int) -> list[tuple[int, ...]]:
+    """Nonempty sets of sites in [a, b] spanning at most ``reach``, sorted by
+    (size, sites): on a range-k lattice window, the sets of diameter <= R
+    when ``reach`` is k·R."""
+    out = []
+    for x in range(a, b + 1):
+        others = range(x + 1, min(x + reach, b) + 1)
+        for r in range(len(others) + 1):
+            for combo in combinations(others, r):
+                out.append((x, *combo))
+    out.sort(key=lambda lam: (len(lam), lam))
+    return out
+
+
+def _template_rows(phi: Interaction, reach: int, j: int, base: int):
+    """Constraint rows at the edge (0, j) of the lattice, keyed by (support,
+    entry) relative to 0: one per unordered move there and admissible
+    pattern.  Their span is that of the rows of every configuration.
+
+    Fix the states at 0 and j and a move there.  The row of a configuration
+    P sums, over candidate supports λ (span <= ``reach``) meeting {0, j}, a
+    term that depends on P only through P on λ∖{0, j}.  Write S for the
+    non-base sites of P outside {0, j} and P|T for P with every site of S∖T
+    set to base.  Möbius inversion over subsets of S gives row(P) =
+    Σ_{T⊆S} G_T with G_T = Σ_{U⊆T} (-1)^{|T|-|U|} row(P|U), and G_T
+    vanishes unless T ⊆ λ∖{0, j} for some λ, so unless T ∪ {0} or T ∪ {j}
+    spans at most ``reach``.  Call such T *admissible*; every subset of one
+    is too.  So the row of any configuration, of any size, is a signed sum
+    of rows of the admissible patterns P|U: the λ∖{0, j} of the candidates
+    λ in [−reach, j + reach] through 0 or j.
+
+    A move from pattern B to A changes the sites Δ.  Its row is +1 at
+    (λ, A|λ) for each candidate λ ⊆ nonbase(A) meeting Δ and −1 at (λ, B|λ)
+    for each candidate λ ⊆ nonbase(B) meeting Δ.  Nothing cancels: A|λ ≠ B|λ
+    when λ meets Δ.  So every entry is ±1, and the singleton of a changed
+    site makes every row nonempty.  The move from A back to B (A is
+    admissible too) has the negated row, so only moves with (c, d) > (s, t)
+    fire.  Patterns come by (|S|, S), then values, to keep fill low.
+    """
+    states = range(phi.states.n)
+    nonbase = [s for s in states if s != base]
+
+    def columns(config: dict, order, delta):
+        """Keys (λ, config|λ) of the candidate λ ⊆ nonbase(config) meeting delta."""
+        sites = [s for s in order if config[s] != base]
+        for r in range(1, len(sites) + 1):
+            for lam in combinations(sites, r):
+                if lam[-1] - lam[0] <= reach and not delta.isdisjoint(lam):
+                    yield lam, tuple(config[s] for s in lam)
+
+    patterns = {
+        tuple(s for s in lam if s != 0 and s != j)
+        for lam in _candidate_supports(-reach, j + reach, reach)
+        if 0 in lam or j in lam
+    }
+    for sites in sorted(patterns, key=lambda sites: (len(sites), sites)):
+        order = sorted((*sites, 0, j))
+        for s, t, *values in product(states, states, *[nonbase] * len(sites)):
+            pattern = dict(zip(sites, values))
+            pattern[0], pattern[j] = s, t
+            for _, _, (c, d) in phi.edge_moves[(s, t)]:
+                if (c, d) <= (s, t):
+                    continue
+                after = {**pattern, 0: c, j: d}
+                delta = {site for site, old, new in ((0, s, c), (j, t, d)) if old != new}
+                row = dict.fromkeys(columns(after, order, delta), 1)
+                row.update(dict.fromkeys(columns(pattern, order, delta), -1))
+                yield row
 
 
 def consv_basis(phi: Interaction, base: int) -> list[ConservedQuantity]:
     """Canonical basis of conserved quantities vanishing at the base state.
 
-    The basis is the reduced echelon form, over the declared state order, of
-    the nullspace of the base row and one pair-sum row per edge from a
-    smaller pair (its reverse negates it): equal inputs give equal bases.
+    A conserved quantity is the radius-0 case of the invariance kernel, so the
+    rows are the kernel's: the base row and ``_template_rows(phi, 0, 1, base)``,
+    each column (λ, e) folded onto its translation class, the state e[0], with
+    equal columns summed.  The basis is the reduced echelon form of their
+    nullspace over the declared state order: equal inputs give equal bases.
     """
     n = phi.states.n
     require_int(base, "state index {} out of range", 0, n)
     rows: list[dict[int, int]] = [{base: 1}]
-    for (a, b), (c, d) in sorted(e for e in phi.edges if e[0] < e[1]):
+    for template in _template_rows(phi, 0, 1, base):
         row: dict[int, int] = {}
-        for idx, sign in ((a, 1), (b, 1), (c, -1), (d, -1)):
-            new = row.get(idx, 0) + sign
-            if new:
-                row[idx] = new
-            else:
-                row.pop(idx, None)
-        if row:
-            rows.append(row)
+        for (_, (s,)), value in template.items():
+            row[s] = row.get(s, 0) + value
+        rows.append(row)
     return [
         ConservedQuantity(states=phi.states, values=vec, base_index=base)
         for vec in linalg.nullspace(rows, n)

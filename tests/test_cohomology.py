@@ -433,6 +433,68 @@ def test_kernel_for_the_nonexchangeable_variant_runs():
 
 
 # ---------------------------------------------------------------------------
+# the two sides of the theorem at radius 0: the window kernel is ξ_X of consv
+
+
+def assert_radius_zero_kernel_is_consv(phi, graph, base):
+    """The R = 0 kernel's basis is the singleton family ``xi_X`` of each
+    ``consv_basis`` vector, in order."""
+    kernel = invariance_kernel(phi, 0, graph, base).basis
+    sums = [xi_X(xi, graph, base) for xi in consv_basis(phi, base)]
+    assert len(kernel) == len(sums)
+    for f, g in zip(kernel, sums):
+        assert families_equal(f, g)
+
+
+@pytest.mark.parametrize(
+    "name", ["exclusion", "multispecies:2", "multispecies:3", "two-species-ac", "quastel2"]
+)
+def test_radius_zero_kernel_is_consv_for_every_builtin_and_base(name):
+    phi = builtin_interaction(name)
+    for base in range(phi.states.n):
+        assert_radius_zero_kernel_is_consv(phi, lattice_window(1, -4, 4), base)
+
+
+@st.composite
+def exchangeable_interactions(draw):
+    """2–4 states; each flip (a, b) -> (b, a) is either a swap move or two
+    moves through a drawn pair, then up to four arbitrary moves.  Uniform
+    sampling almost never gives an exchangeable interaction."""
+    n = draw(st.integers(2, 4))
+    pairs = list(itertools.product(range(n), repeat=2))
+    moves = []
+    for a, b in itertools.combinations(range(n), 2):
+        via = draw(st.none() | st.sampled_from(pairs))
+        moves += [((a, b), (b, a))] if via is None else [((a, b), via), (via, (b, a))]
+    moves += draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from(pairs)),
+                           max_size=4))
+    base = draw(st.integers(0, n - 1))
+    return make_interaction(state_space([str(i) for i in range(n)], str(base)), moves)
+
+
+@settings(max_examples=60, deadline=None)
+@given(phi=exchangeable_interactions())
+def test_radius_zero_kernel_is_consv_for_generated_exchangeable_interactions(phi):
+    assert is_exchangeable(phi)
+    for base in range(phi.states.n):
+        assert_radius_zero_kernel_is_consv(phi, lattice_window(1, -4, 4), base)
+
+
+@pytest.mark.parametrize("window", [(-4, 4), (-5, 5)])
+def test_radius_zero_kernel_of_pair_creation_is_staggered(window):
+    """(0,0) <-> (1,1) is not exchangeable: no conserved quantity, but on a
+    window the site values may alternate in sign."""
+    phi = make_interaction(state_space(["0", "1"], "0"), [((0, 0), (1, 1))])
+    assert not is_exchangeable(phi)
+    assert consv_basis(phi, 0) == []
+    graph = lattice_window(1, *window)
+    (f,) = invariance_kernel(phi, 0, graph, 0).basis
+    a, b = window
+    assert {key: comp.table for key, comp in family_items(f)} == {
+        (x,): (0, (-1) ** (b - x)) for x in range(a, b + 1)}
+
+
+# ---------------------------------------------------------------------------
 # references: rows of every configuration, and exchange rows
 
 

@@ -232,6 +232,16 @@ PINNED = [
     (H0, {"kind": "path"}, "path graph document needs 'n'"),
     (["consv", "--interaction", FILE], [],
      "interaction document must be an object"),
+    # a present key is read by its own rule: null is not an absent base or graph
+    (["consv", "--interaction", FILE], {**ROWS["interaction"].good, "base": None},
+     "a state label is a string, got None"),
+    (EXPAND, {**ROWS["local-function-file"].good, "base": None},
+     "a state label is a string, got None"),
+    (EXTRACT, {**ROWS["function-file"].good, "graph": None},
+     "graph document must be an object"),
+    # the embedded graph is read even when --graph is the one used
+    (EXTRACT + ["--graph", "lattice:1:-4:4"],
+     {**ROWS["function-file"].good, "graph": {"kind": "nope"}}, "unknown graph kind 'nope'"),
 ]
 
 
