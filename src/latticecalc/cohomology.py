@@ -25,12 +25,12 @@ from itertools import product
 from . import caps, linalg
 from .errors import (
     CapExceededError,
-    MismatchError,
     NormalizationError,
     Record,
     SchemaError,
     VerificationError,
     WindowTooSmallError,
+    require_same_system,
 )
 from .interaction import ConservedQuantity, Interaction, _candidate_supports, _template_rows
 from .localfn import LocalFunction
@@ -144,8 +144,7 @@ def extract_conserved(f: UniformFunction, phi: Interaction) -> ExtractionResult:
     A conserved outcome is re-verified componentwise against the
     reassembled site-wise sum.
     """
-    if f.states != phi.states:
-        raise MismatchError("function and interaction disagree on the state space")
+    require_same_system(f, phi, "function and interaction")
     if f.constant_term() != 0:
         raise NormalizationError("constant term must vanish before extraction")
     fam = family_map(f)
@@ -156,9 +155,7 @@ def extract_conserved(f: UniformFunction, phi: Interaction) -> ExtractionResult:
     for x in vertices[1:]:
         table = fam[(x,)].table if (x,) in fam else zero_table
         if table != ref:
-            return ExtractionResult(
-                outcome=UNEQUAL_SINGLE_SITE, witness=(ref_site, x)
-            )
+            return ExtractionResult(outcome=UNEQUAL_SINGLE_SITE, witness=(ref_site, x))
     for key in sorted(fam, key=lambda k: (len(k), k)):
         if len(key) >= 2:
             return ExtractionResult(outcome=NONZERO_MULTI_SITE, witness=key)

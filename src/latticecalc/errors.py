@@ -63,6 +63,17 @@ class MismatchError(LatticeCalcError):
     code = "mismatch"
 
 
+def require_same_system(a, b, what: str) -> None:
+    """The one same-system rule: of ``states``, ``graph`` and ``base_index``,
+    each that both operands carry (not ``None``) must be equal, or a
+    ``MismatchError`` names the first that differs."""
+    for field, name in (("states", "state space"), ("graph", "graph"),
+                        ("base_index", "base state")):
+        x, y = getattr(a, field, None), getattr(b, field, None)
+        if x is not None and y is not None and x != y:
+            raise MismatchError(f"{what} disagree on the {name}")
+
+
 class WindowTooSmallError(LatticeCalcError):
     code = "window-too-small"
 

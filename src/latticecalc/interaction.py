@@ -23,6 +23,7 @@ from .errors import (
     Record,
     SchemaError,
     UnknownStateError,
+    require_same_system,
 )
 from .rationals import (ensure_fraction, format_rational, parse_int, parse_list, parse_object,
                         require_int)
@@ -268,6 +269,7 @@ class ConservedQuantity(Record):
     def unconserved_edge(self, phi: Interaction) -> PhiEdge | None:
         """The first interaction edge, in sorted order, along which the pair
         sum changes, or None."""
+        require_same_system(self, phi, "quantity and interaction")
         v = self.values
         return next((((a, b), (c, d)) for (a, b), (c, d) in sorted(phi.edges)
                      if v[a] + v[b] != v[c] + v[d]), None)

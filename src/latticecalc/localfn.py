@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from . import caps
-from .errors import CapExceededError, Record, SchemaError, SupportError
+from .errors import CapExceededError, Record, SchemaError, SupportError, require_same_system
 from .interaction import StateSpace
 from .rationals import ensure_fraction, require_int
 from .sitegraph import Site, are_sites
@@ -73,11 +73,14 @@ class LocalFunction(Record):
         return idx
 
     def value_at(self, assignment: Assignment) -> Fraction:
+        """The entry at ``assignment``, each state index checked by the integer rule."""
         if len(assignment) != self.arity:
             raise SupportError(
                 f"assignment of length {len(assignment)} for arity {self.arity}"
             )
-        return self.table[self.index_of(assignment)]
+        n = self.states.n
+        return self.table[self.index_of([require_int(s, "state index {} out of range", 0, n)
+                                         for s in assignment])]
 
     def assignments(self):
         return product(range(self.states.n), repeat=self.arity)
@@ -200,33 +203,31 @@ def assemble(
 ) -> LocalFunction:
     """Pointwise sum of components over a common support.
 
-    ``states`` is only needed when ``components`` is empty (the zero sum).
+    ``states`` is only needed when ``components`` is empty (the zero sum);
+    given, every component must be over it, else over the first's.
     """
     supp = _sorted_support(support)
     supp_set = set(supp)
+    if not (states or components):
+        raise SupportError("assemble needs components or an explicit state space")
+    states = states or next(iter(components.values())).states
+    over = LocalFunction.zero(states)  # carries the state space alone
     for lam, comp in components.items():
         _sorted_support(lam, supp)
-        if states is None:
-            states = comp.states
-        elif comp.states != states:
-            raise SupportError("components disagree on the state space")
+        require_same_system(comp, over, "components")
         if not set(lam) <= supp_set:
             raise SupportError(f"component support {lam} not contained in {supp}")
         if tuple(lam) != comp.support:
             raise SupportError(f"component keyed {lam} has support {comp.support}")
-    if states is None:
-        raise SupportError("assemble needs components or an explicit state space")
     if not components:
         return LocalFunction.zero(states, supp)
-    n = states.n
     table = []
     items = sorted(components.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    positioned = [
-        (comp, [supp.index(s) for s in lam]) for lam, comp in items
-    ]
-    for assignment in product(range(n), repeat=len(supp)):
+    positioned = [(comp.table, comp.index_of, [supp.index(s) for s in lam]) for lam, comp in items]
+    # the assignments are built here, so their entries need no range check
+    for assignment in product(range(states.n), repeat=len(supp)):
         total = Fraction(0)
-        for comp, positions in positioned:
-            total += comp.value_at(tuple(assignment[p] for p in positions))
+        for entries, index_of, positions in positioned:
+            total += entries[index_of([assignment[p] for p in positions])]
         table.append(total)
     return LocalFunction(states=states, support=supp, table=tuple(table))

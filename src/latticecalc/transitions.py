@@ -12,8 +12,9 @@ from functools import cached_property
 from itertools import accumulate, repeat
 
 from . import caps
-from .errors import MismatchError, Record, SchemaError, UnknownVertexError
-from .interaction import Interaction, PhiEdge, StateSpace, pair_exchange_path
+from .errors import (MismatchError, Record, SchemaError, UnknownVertexError, VerificationError,
+                     require_same_system)
+from .interaction import Interaction, PhiEdge, pair_exchange_path
 from .rationals import parse_list, parse_object, require_int
 from .sitegraph import Site, SiteGraph, shortest_path
 from .uniform import Configuration, UniformFunction, configuration, difference
@@ -33,12 +34,7 @@ class Transition(Record):
 
     def __post_init__(self) -> None:
         x, y = self.edge
-        if (
-            self.before.graph != self.after.graph
-            or self.before.states != self.after.states
-            or self.before.base_index != self.after.base_index
-        ):
-            raise MismatchError("transition endpoints live in different systems")
+        require_same_system(self.before, self.after, "transition endpoints")
         (a, b), (c, d) = self.phi_edge
         if (self.before.state_at(x), self.before.state_at(y)) != (a, b):
             raise MismatchError("before-configuration disagrees with the fired edge")
@@ -61,19 +57,17 @@ def _transition(eta: Configuration, edge: tuple[Site, Site], phi_edge: PhiEdge):
     )
 
 
-def _read_move(doc, phi: Interaction, graph: SiteGraph, states: StateSpace):
-    """The ordered edge and interaction edge a transition document names,
-    checked against the graph and the interaction.  Every replay of a
-    document goes through here; the caller checks the source states."""
+def _read_move(doc, phi: Interaction, graph: SiteGraph):
+    """The ordered edge and interaction edge a transition document names in
+    the interaction's labels, checked against the graph and the interaction.
+    Every replay of a document goes through here; the caller checks the source states."""
     keys = ("edge", "from", "to")
     parse_object(doc, "transition document", keys, ())
     bad = "transition edge/from/to must each list two entries"
     (x, y), from_labels, to_labels = (parse_list(doc[key], bad, 2) for key in keys)
     x, y = graph.parse_site(x), graph.parse_site(y)
-    phi_edge = (
-        (states.index(from_labels[0]), states.index(from_labels[1])),
-        (states.index(to_labels[0]), states.index(to_labels[1])),
-    )
+    a, b, c, d = map(phi.states.index, (*from_labels, *to_labels))
+    phi_edge = ((a, b), (c, d))
     if (x, y) not in graph.edges:
         raise UnknownVertexError(f"({x!r}, {y!r}) is not a graph edge")
     if phi_edge not in phi.edges:
@@ -122,7 +116,7 @@ class ConfigCode:
     def read(self, doc) -> tuple[int, int, tuple[int, int], int]:
         """``(place x, place y, source pair, code offset)`` of the move ``doc``
         names, checked against the graph and the interaction."""
-        (x, y), ((a, b), (c, d)) = _read_move(doc, self.phi, self.graph, self.phi.states)
+        (x, y), ((a, b), (c, d)) = _read_move(doc, self.phi, self.graph)
         px, py = self.place[x], self.place[y]
         return px, py, (a, b), (c - a) * px + (d - b) * py
 
@@ -138,8 +132,7 @@ def neighbors(phi: Interaction, eta: Configuration) -> list[Transition]:
     """Single transitions out of ``eta``, in ``ConfigCode.fire`` order:
     ``Interaction.edge_moves`` at each edge x < y, edges sorted, a flipped
     move fired as (y, x); each reachable configuration once."""
-    if eta.states != phi.states:
-        raise MismatchError("configuration built over a different state space")
+    require_same_system(eta, phi, "configuration and interaction")
     return [
         _transition(eta, (y, x) if flipped else (x, y), phi_edge)
         for x, y in eta.graph.unordered_edges()
@@ -188,8 +181,7 @@ def component_bfs(
     (default from caps, at least 1) and reports ``truncated=True`` rather
     than raising.
     """
-    if eta.states != phi.states:
-        raise MismatchError("configuration built over a different state space")
+    require_same_system(eta, phi, "configuration and interaction")
     if max_states is None:
         max_states = caps.current().max_bfs
     require_int(max_states, "max_states must be at least 1, got {}", 1)
@@ -222,6 +214,7 @@ def swap_path(
     that carries (s, t) to (t, s).  The final configuration always equals
     ``eta`` with x and y swapped.
     """
+    require_same_system(eta, phi, "configuration and interaction")
     expected = eta.with_sites({x: eta.state_at(y), y: eta.state_at(x)})
     if x == y:
         return []
@@ -238,7 +231,7 @@ def swap_path(
             out.append(_transition(cur, (u, v), phi_edge))
             cur = out[-1].after
     if cur != expected:
-        raise SchemaError("exchange schedule failed to realize the swap")  # defensive
+        raise VerificationError("exchange schedule failed to realize the swap")  # defensive
     return out
 
 
@@ -250,6 +243,7 @@ def permutation_path(
     The permutation is decomposed into cycles (ordered by smallest member)
     and each cycle into adjacent transpositions realized by ``swap_path``.
     """
+    require_same_system(eta, phi, "configuration and interaction")
     domain = set(sigma)
     if domain != set(sigma.values()):
         raise SchemaError("sigma is not a bijection of its domain")
@@ -271,7 +265,7 @@ def permutation_path(
         if steps:
             cur = steps[-1].after
     if cur != expected:
-        raise SchemaError("transposition schedule failed to realize sigma")  # defensive
+        raise VerificationError("transposition schedule failed to realize sigma")  # defensive
     return out
 
 
@@ -293,6 +287,7 @@ def is_invariant(
     f: UniformFunction, phi: Interaction, state_probe=()
 ) -> InvarianceCheck:
     """Check that f does not change along any transition out of the probes."""
+    require_same_system(f, phi, "function and interaction")
     probes = list(state_probe)
     checked, witness = 0, None
     for tr in (tr for eta in probes for tr in neighbors(phi, eta)):
@@ -300,17 +295,14 @@ def is_invariant(
         if difference(f, tr.before, tr.after) != 0:
             witness = tr
             break
-    return InvarianceCheck(
-        invariant=witness is None,
-        witness=witness,
-        probes_checked=len(probes),
-        transitions_checked=checked,
-    )
+    return InvarianceCheck(invariant=witness is None, witness=witness,
+                           probes_checked=len(probes), transitions_checked=checked)
 
 
 def transition_from_document(
     doc: dict, phi: Interaction, eta: Configuration
 ) -> Transition:
     """Replay a serialized transition against the configuration it fires from."""
-    edge, phi_edge = _read_move(doc, phi, eta.graph, eta.states)
+    require_same_system(eta, phi, "configuration and interaction")
+    edge, phi_edge = _read_move(doc, phi, eta.graph)
     return _transition(eta, edge, phi_edge)  # checks the source states

@@ -29,6 +29,7 @@ from .errors import (
     Record,
     SchemaError,
     SupportError,
+    require_same_system,
 )
 from .interaction import ConservedQuantity, StateSpace
 from .localfn import ExactSupportFunction, LocalFunction, assemble, expand
@@ -137,10 +138,7 @@ class UniformFunction(Record):
             # keys are sites of the graph's kind, so all of one kind and sortable
             if comp.support != key or not are_sites((self.graph.vertices[0], *key)):
                 raise SupportError(f"component keyed {key} has support {comp.support}")
-            if comp.states != self.states:
-                raise MismatchError("component built over a different state space")
-            if comp.base_index != self.base_index:
-                raise MismatchError("component normalized at a different base state")
+            require_same_system(comp, self, "component and family")
             if comp.is_zero() and key != ():
                 raise SchemaError(f"zero component at {key} (drop it)")
             if self.kind == TRANSLATED:
@@ -275,21 +273,14 @@ def family_map(f: UniformFunction) -> dict[ComponentKey, ExactSupportFunction]:
 
 
 def families_equal(f: UniformFunction, g: UniformFunction) -> bool:
-    """Componentwise equality of the materialized families."""
-    if f.states != g.states or f.base_index != g.base_index or f.graph != g.graph:
+    """Componentwise equality of the materialized families; two systems' differ."""
+    try:
+        require_same_system(f, g, "families")
+    except MismatchError:
         return False
     left = {key: comp.table for key, comp in family_items(f)}
     right = {key: comp.table for key, comp in family_items(g)}
     return left == right
-
-
-def _require_context(f: UniformFunction, eta: Configuration) -> None:
-    if eta.states != f.states:
-        raise MismatchError("configuration built over a different state space")
-    if eta.graph != f.graph:
-        raise MismatchError("configuration lives on a different graph")
-    if eta.base_index != f.base_index:
-        raise MismatchError("configuration normalized at a different base state")
 
 
 def evaluate(f: UniformFunction, eta: Configuration) -> Fraction:
@@ -299,7 +290,7 @@ def evaluate(f: UniformFunction, eta: Configuration) -> Fraction:
     contribute (exact-support components vanish elsewhere), so the sum is
     finite even for translated families.
     """
-    _require_context(f, eta)
+    require_same_system(f, eta, "function and configuration")
     supp = set(eta.support())
     total = f.constant_term()
     for placed, comp in _placed(f, supp):
@@ -315,8 +306,8 @@ def difference(f: UniformFunction, eta: Configuration, eta2: Configuration) -> F
     from the change, so it is well defined even when the window stands for an
     unbounded lattice.
     """
-    _require_context(f, eta)
-    _require_context(f, eta2)
+    require_same_system(f, eta, "function and configuration")
+    require_same_system(f, eta2, "function and configuration")
     changed = {site for site, _ in set(eta.assignments) ^ set(eta2.assignments)}
     total = Fraction(0)
     for placed, comp in _placed(f, changed):
@@ -373,10 +364,10 @@ def sum_of_uniformly_local(
     sites = sorted(system)
     states = system[sites[0]].states
     require_int(base, "base index {} out of range", 0, states.n)
+    over = LocalFunction.zero(states)  # carries the state space alone
     for x in sites:
         fx = system[x]
-        if fx.states != states:
-            raise MismatchError("system members disagree on the state space")
+        require_same_system(fx, over, "system members")
         allowed = ball(graph, x, radius)
         if not set(fx.support) <= allowed:
             raise LocalityError(
@@ -422,6 +413,11 @@ def rebase(f: UniformFunction, new_base: int) -> UniformFunction:
     class).  The constant term is carried over verbatim, which makes the map
     an involution and, on finite local functions, shifts the function by
     (value at old all-base) - (value at new all-base).
+
+    A translated family stands for a function on Z, where after the rebase
+    every site beyond the window holds the new base.  So its differences
+    are those of Z: equal to the window's for a change at least k·R from
+    both ends, not always nearer an end (an explicit family's always are).
     """
     require_int(new_base, "base index {} out of range", 0, f.states.n)
     if new_base == f.base_index:
@@ -475,12 +471,8 @@ def _parse_table(doc_table: Mapping[str, str], states: StateSpace, support) -> d
 
 def _format_table(comp: LocalFunction) -> dict[str, str]:
     labels = comp.states.labels
-    out = {}
-    for assignment in comp.assignments():
-        v = comp.value_at(assignment)
-        if v:
-            out[",".join(labels[s] for s in assignment)] = format_rational(v)
-    return out
+    return {",".join(labels[s] for s in assignment): format_rational(v)
+            for assignment, v in zip(comp.assignments(), comp.table) if v}
 
 
 def load_local_function(doc: dict, states: StateSpace) -> LocalFunction:

@@ -88,6 +88,7 @@ ENTRIES = {
         lambda v: load_uniform({"base": "0", "radius": v}, STATES, PATH3), 0, [-1]),
     "LocalFunction.from_entries": (
         lambda v: LocalFunction.from_entries(STATES, (0,), {(v,): 1}), *INDEX),
+    "value_at": (lambda v: SITE_FUNCTIONS[0].value_at((v,)), *INDEX),
     "is_exact_support": (lambda v: is_exact_support(F, v), *INDEX),
     "expand": (lambda v: expand(F, v), *INDEX),
     "restrict": (lambda v: restrict(F, (0,), v), *INDEX),

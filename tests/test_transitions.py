@@ -108,7 +108,8 @@ def test_transition_validation_rejects_mismatched_states():
 )
 def test_transition_validation_rejects_endpoints_in_different_systems(after):
     before = configuration(G13, EXCLUSION.states, 0, {0: 1})
-    with pytest.raises(errors.MismatchError, match="different systems"):
+    with pytest.raises(errors.MismatchError,
+                       match="^transition endpoints disagree on the (graph|state space|base state)$"):
         Transition(before=before, after=after, edge=(0, 1), phi_edge=((1, 0), (0, 1)))
 
 

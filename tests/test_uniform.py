@@ -1,5 +1,6 @@
 """Uniform functions: evaluation, differences, base changes, serialization."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,62 @@ def test_rebase_translated_stays_translated():
     moved = rebase(f, 0)
     assert moved.kind == "translated"
     assert families_equal(rebase(moved, 1), f)
+
+
+def _at(eta, base):
+    """``eta`` written at ``base``: every site of its graph listed."""
+    graph = eta.graph
+    return configuration(graph, eta.states, base, {x: eta.state_at(x) for x in graph.vertices})
+
+
+def test_translated_rebase_is_exact_on_z_not_at_the_window_edge():
+    """Exclusion on [0, 3], the pair template (1, 1) -> 1, rebased to base 1.
+    Emptying site 0 of the full window removes one pair inside the window
+    but two on Z: the translated rebase answers for Z, since beyond the
+    window every site holds the new base, occupied."""
+    phi = builtin_interaction("exclusion")
+    window = lattice_window(1, 0, 3)
+    pair = ExactSupportFunction(states=phi.states, support=(0, 1), table=(0, 0, 0, 1))
+    f = translated_uniform(phi.states, window, 0, 1, {(0, 1): pair})
+    explicit = explicit_uniform(phi.states, window, 0, 1, family_map(f))
+    full = configuration(window, phi.states, 0, dict.fromkeys(window.vertices, 1))
+    for site, on_window in ((0, -1), (1, -2), (2, -2), (3, -1)):
+        emptied = full.with_sites({site: 0})
+        assert difference(f, full, emptied) == on_window
+        assert difference(rebase(explicit, 1), _at(full, 1), _at(emptied, 1)) == on_window
+        assert difference(rebase(f, 1), _at(full, 1), _at(emptied, 1)) == -2
+
+
+@pytest.mark.parametrize("k,radius", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_rebase_keeps_differences_at_sites_k_r_from_both_ends(k, radius):
+    """For random ``multispecies:2`` translated families, a change at a site
+    at least k·R from both ends of the window has the same difference before
+    and after either rebase."""
+    rng = random.Random(1000 * k + radius)
+    states = builtin_interaction("multispecies:2").states
+    window = lattice_window(k, -5, 5)
+    reach = k * radius
+    interior = [x for x in window.vertices if -5 + reach <= x <= 5 - reach]
+    for _ in range(8):
+        templates = {}
+        for size in range(1, min(3, reach + 1) + 1):
+            others = tuple(sorted(rng.sample(range(1, reach + 1), size - 1)))
+            probe = LocalFunction.from_function(
+                states, (0, *others), lambda a: 0 if 0 in a else rng.randint(-3, 3))
+            templates[probe.support] = probe
+        f = translated_uniform(states, window, 0, radius, templates)
+        explicit = explicit_uniform(states, window, 0, radius, family_map(f))
+        for new_base in (1, 2):
+            moved, moved_explicit = rebase(f, new_base), rebase(explicit, new_base)
+            for _ in range(6):
+                eta = configuration(window, states, 0,
+                                    {x: rng.randrange(3) for x in window.vertices})
+                site = rng.choice(interior)
+                changed = eta.with_sites({site: (eta.state_at(site) + rng.randint(1, 2)) % 3})
+                before = difference(f, eta, changed)
+                after = (_at(eta, new_base), _at(changed, new_base))
+                assert difference(moved, *after) == before
+                assert difference(moved_explicit, *after) == before
 
 
 def test_zero_uniform_and_constant_term():
