@@ -321,7 +321,7 @@ def cmd_neighbors(args) -> int:
     found = neighbors(phi, eta)
     docs = [tr.to_document() for tr in found]
     ok = all(
-        transition_from_document(doc, phi, tr.before).after == tr.after
+        transition_from_document(doc, phi, tr.before) == tr
         for doc, tr in zip(docs, found)
     )
     verification = [("round-trip", "pass" if ok else "fail")]
@@ -439,7 +439,7 @@ def cmd_extract(args) -> int:
         witness = [[labels[a], labels[b]], [labels[c], labels[d]]]
     verification = []
     if result.outcome == CONSERVED:
-        # extract_conserved answers not-invariant unless fn equals the
+        # extract_conserved raises VerificationError unless fn equals the
         # site-wise sum of xi, so a conserved outcome has passed this check
         verification.append(("sitewise-sum-matches", "pass"))
     outputs = {

@@ -124,7 +124,6 @@ CONSERVED = "conserved"
 UNEQUAL_SINGLE_SITE = "unequal-single-site"
 NONZERO_MULTI_SITE = "nonzero-multi-site"
 NOT_CONSERVED_PAIR = "not-conserved-pair"
-NOT_INVARIANT = "not-invariant"
 
 
 class ExtractionResult(Record):
@@ -142,7 +141,7 @@ def extract_conserved(f: UniformFunction, phi: Interaction) -> ExtractionResult:
     must agree, every larger component must vanish, and the common
     single-site table must have constant pair sums along the interaction.
     A conserved outcome is re-verified componentwise against the
-    reassembled site-wise sum.
+    reassembled site-wise sum; a failure there is a ``VerificationError``.
     """
     require_same_system(f, phi, "function and interaction")
     if f.constant_term() != 0:
@@ -163,9 +162,8 @@ def extract_conserved(f: UniformFunction, phi: Interaction) -> ExtractionResult:
     edge = xi.unconserved_edge(phi)
     if edge is not None:
         return ExtractionResult(outcome=NOT_CONSERVED_PAIR, witness=edge)
-    rebuilt = xi_X(xi, f.graph, f.base_index)
-    if not families_equal(f, rebuilt):
-        return ExtractionResult(outcome=NOT_INVARIANT, witness=None)  # defensive
+    if not families_equal(f, xi_X(xi, f.graph, f.base_index)):
+        raise VerificationError("conserved quantity does not rebuild the function")  # defensive
     return ExtractionResult(outcome=CONSERVED, xi=xi)
 
 

@@ -26,53 +26,54 @@ def transition_document(edge: tuple[Site, Site], phi_edge: PhiEdge, labels) -> d
     return {"edge": list(edge), "from": [labels[a], labels[b]], "to": [labels[c], labels[d]]}
 
 
+def _require_move(phi: Interaction, graph: SiteGraph, edge, phi_edge) -> None:
+    """The one move rule: a transition fires an interaction edge at a graph edge."""
+    if edge not in graph.edges:
+        raise UnknownVertexError(f"{edge!r} is not a graph edge")
+    if phi_edge not in phi.edges:
+        raise MismatchError("the transition's move is not an interaction edge")
+
+
 class Transition(Record):
+    """The move ``phi_edge`` of ``phi`` fired at the ordered ``edge`` out of
+    ``before``; ``after`` is computed from them, so it always agrees."""
+
+    _unhashed = ("phi",)
+
+    phi: Interaction
     before: Configuration
-    after: Configuration
     edge: tuple[Site, Site]
     phi_edge: PhiEdge
 
     def __post_init__(self) -> None:
-        x, y = self.edge
-        require_same_system(self.before, self.after, "transition endpoints")
-        (a, b), (c, d) = self.phi_edge
-        if (self.before.state_at(x), self.before.state_at(y)) != (a, b):
+        require_same_system(self.before, self.phi, "configuration and interaction")
+        _require_move(self.phi, self.before.graph, self.edge, self.phi_edge)
+        (x, y), (source, _) = self.edge, self.phi_edge
+        if (self.before.state_at(x), self.before.state_at(y)) != source:
             raise MismatchError("before-configuration disagrees with the fired edge")
-        if (self.after.state_at(x), self.after.state_at(y)) != (c, d):
-            raise MismatchError("after-configuration disagrees with the fired edge")
-        changed = set(self.before.assignments) ^ set(self.after.assignments)
-        away = {site for site, _ in changed} - {x, y}
-        if away:
-            raise MismatchError(f"site {min(away)!r} changed away from the fired edge")
+
+    @cached_property
+    def after(self) -> Configuration:
+        (x, y), (_, (c, d)) = self.edge, self.phi_edge
+        return self.before.with_sites({x: c, y: d})
 
     def to_document(self) -> dict:
         return transition_document(self.edge, self.phi_edge, self.before.states.labels)
 
 
-def _transition(eta: Configuration, edge: tuple[Site, Site], phi_edge: PhiEdge):
-    """The transition out of ``eta`` firing ``phi_edge`` at the ordered ``edge``."""
-    (x, y), (_, (c, d)) = edge, phi_edge
-    return Transition(
-        before=eta, after=eta.with_sites({x: c, y: d}), edge=edge, phi_edge=phi_edge
-    )
-
-
 def _read_move(doc, phi: Interaction, graph: SiteGraph):
     """The ordered edge and interaction edge a transition document names in
-    the interaction's labels, checked against the graph and the interaction.
-    Every replay of a document goes through here; the caller checks the source states."""
+    the interaction's labels, checked by the move rule.  Every replay of a
+    document goes through here; the caller checks the source states."""
     keys = ("edge", "from", "to")
     parse_object(doc, "transition document", keys, ())
     bad = "transition edge/from/to must each list two entries"
     (x, y), from_labels, to_labels = (parse_list(doc[key], bad, 2) for key in keys)
-    x, y = graph.parse_site(x), graph.parse_site(y)
+    edge = graph.parse_site(x), graph.parse_site(y)
     a, b, c, d = map(phi.states.index, (*from_labels, *to_labels))
     phi_edge = ((a, b), (c, d))
-    if (x, y) not in graph.edges:
-        raise UnknownVertexError(f"({x!r}, {y!r}) is not a graph edge")
-    if phi_edge not in phi.edges:
-        raise MismatchError("the transition's move is not an interaction edge")
-    return (x, y), phi_edge
+    _require_move(phi, graph, edge, phi_edge)
+    return edge, phi_edge
 
 
 class ConfigCode:
@@ -134,7 +135,7 @@ def neighbors(phi: Interaction, eta: Configuration) -> list[Transition]:
     move fired as (y, x); each reachable configuration once."""
     require_same_system(eta, phi, "configuration and interaction")
     return [
-        _transition(eta, (y, x) if flipped else (x, y), phi_edge)
+        Transition(phi, eta, (y, x) if flipped else (x, y), phi_edge)
         for x, y in eta.graph.unordered_edges()
         for flipped, phi_edge, _ in phi.edge_moves[(eta.state_at(x), eta.state_at(y))]
     ]
@@ -164,10 +165,9 @@ class ComponentResult(Record):
 
     @cached_property
     def discovery(self) -> tuple[Transition, ...]:
-        eta = self._decoded
+        eta, phi = self._decoded, self.codes.phi
         return tuple(
-            Transition(before=eta[u], after=eta[w], edge=edge, phi_edge=phi_edge)
-            for u, edge, phi_edge, w in self.steps
+            Transition(phi, eta[u], edge, phi_edge) for u, edge, phi_edge, _ in self.steps
         )
 
 
@@ -228,7 +228,7 @@ def swap_path(
         if su == sv:
             continue
         for phi_edge in pair_exchange_path(phi, su, sv):
-            out.append(_transition(cur, (u, v), phi_edge))
+            out.append(Transition(phi, cur, (u, v), phi_edge))
             cur = out[-1].after
     if cur != expected:
         raise VerificationError("exchange schedule failed to realize the swap")  # defensive
@@ -303,6 +303,4 @@ def transition_from_document(
     doc: dict, phi: Interaction, eta: Configuration
 ) -> Transition:
     """Replay a serialized transition against the configuration it fires from."""
-    require_same_system(eta, phi, "configuration and interaction")
-    edge, phi_edge = _read_move(doc, phi, eta.graph)
-    return _transition(eta, edge, phi_edge)  # checks the source states
+    return Transition(phi, eta, *_read_move(doc, phi, eta.graph))  # checks the source states

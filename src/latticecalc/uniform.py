@@ -291,11 +291,12 @@ def evaluate(f: UniformFunction, eta: Configuration) -> Fraction:
     finite even for translated families.
     """
     require_same_system(f, eta, "function and configuration")
-    supp = set(eta.support())
+    held = eta._lookup  # checked sites and states: read without the public checks
+    supp = set(held)
     total = f.constant_term()
     for placed, comp in _placed(f, supp):
         if supp.issuperset(placed):
-            total += comp.value_at(tuple(eta.state_at(s) for s in placed))
+            total += comp.table[comp.index_of([held[s] for s in placed])]
     return total
 
 
@@ -309,11 +310,13 @@ def difference(f: UniformFunction, eta: Configuration, eta2: Configuration) -> F
     require_same_system(f, eta, "function and configuration")
     require_same_system(f, eta2, "function and configuration")
     changed = {site for site, _ in set(eta.assignments) ^ set(eta2.assignments)}
+    # placed sites are vertices and the states checked: read without the public checks
+    base, held, held2 = f.base_index, eta._lookup, eta2._lookup
     total = Fraction(0)
     for placed, comp in _placed(f, changed):
-        after = comp.value_at(tuple(eta2.state_at(s) for s in placed))
-        before = comp.value_at(tuple(eta.state_at(s) for s in placed))
-        total += after - before
+        after = comp.index_of([held2.get(s, base) for s in placed])
+        before = comp.index_of([held.get(s, base) for s in placed])
+        total += comp.table[after] - comp.table[before]
     return total
 
 

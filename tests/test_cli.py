@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from latticecalc import __version__, linalg
+from latticecalc import __version__, cohomology, linalg
 from latticecalc.cli import _COMMON, COMMANDS, _dumps, main
 from latticecalc.interaction import builtin_interaction, state_space
 from latticecalc.sitegraph import cycle_graph, lattice_window, load_graph
@@ -402,6 +402,31 @@ def test_extract_conserved_roundtrip(capsys, workdir):
     assert report["outputs"]["outcome"] == "conserved"
     assert report["outputs"]["xi"] == {"0": "0", "1": "1"}
     assert ["sitewise-sum-matches", "pass"] in report["verification"]
+
+
+def test_extract_fails_loudly_when_its_cross_check_fails(capsys, tmp_path, monkeypatch):
+    """A conserved outcome whose quantity does not rebuild the function is a
+    failed internal check (exit 2), not an answer."""
+    charge = {
+        "states": ["-1", "0", "1"],
+        "base": "0",
+        "graph": {"kind": "lattice_z", "k": 1, "window": [-4, 4]},
+        "kind": "translated",
+        "radius": 0,
+        "template": [{"support": [0], "table": {"-1": "-1", "1": "1"}}],
+    }
+    (tmp_path / "charge.json").write_text(json.dumps(charge))
+    argv = ("extract", "--function", str(tmp_path / "charge.json"),
+            "--interaction", "two-species-ac")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and last_report(out)["outputs"]["outcome"] == "conserved"
+    monkeypatch.setattr(cohomology, "families_equal", lambda f, g: False)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == {
+        "code": "verification-failed",
+        "message": "conserved quantity does not rebuild the function",
+    }
 
 
 HOLES = {"base": "1", "template": [{"support": [0], "table": {"0": "1"}}]}

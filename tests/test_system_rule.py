@@ -93,9 +93,7 @@ ENTRIES = {
     "extract_conserved": lambda s: extract_conserved(f_over(s), PHI),
     "evaluate": lambda s: evaluate(f_over(S), eta_over(s)),
     "difference": lambda s: difference(f_over(S), eta_over(S), eta_over(s)),
-    "Transition": lambda s: Transition(
-        before=eta_over(S), after=configuration(P4, s, 0, {1: 1}), edge=(0, 1),
-        phi_edge=((1, 0), (0, 1))),
+    "Transition": lambda s: Transition(PHI, eta_over(s), (0, 1), ((1, 0), (0, 1))),
     "UniformFunction": lambda s: explicit_uniform(S, P4, 0, 0, {(0,): ExactSupportFunction(
         states=s, support=(0,), table=(0, 1))}),
     "sum_of_uniformly_local": lambda s: sum_of_uniformly_local(

@@ -1,5 +1,6 @@
 """Transition enumeration, reachable components, swap and permutation paths."""
 
+import ast
 import itertools
 import math
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticecalc import errors, uniform
+from latticecalc import errors, transitions, uniform
 from latticecalc.interaction import (
     builtin_interaction,
     consv_basis,
@@ -85,54 +86,83 @@ def test_swap_moves_are_not_double_counted():
     assert found[0].after == eta.with_sites({0: 2, 1: 1})
 
 
+HOP = ((1, 0), (0, 1))  # exclusion: the particle at the edge's first site moves
+
+
 def test_transition_validation_rejects_mismatched_states():
     eta = configuration(G13, EXCLUSION.states, 0, {0: 1})
     good = neighbors(EXCLUSION, eta)[0]
-    with pytest.raises(errors.MismatchError):
-        Transition(
-            before=good.before,
-            after=good.before,
-            edge=good.edge,
-            phi_edge=good.phi_edge,
-        )
+    with pytest.raises(errors.MismatchError, match="^before-configuration disagrees"):
+        Transition(EXCLUSION, good.after, good.edge, good.phi_edge)
 
 
 @pytest.mark.parametrize(
-    "after",
+    "before",
     [
-        configuration(lattice_window(1, -7, 7), EXCLUSION.states, 0, {1: 1}),
-        configuration(G13, MS2.states, 0, {1: 1}),
-        configuration(G13, EXCLUSION.states, 1, {0: 1}),
+        configuration(G13, MS2.states, 0, {0: 1}),
+        configuration(G13, state_space(["1", "0"]), 0, {0: 1}),
     ],
-    ids=["graph", "states", "base"],
+    ids=["more-states", "relabelled"],
 )
-def test_transition_validation_rejects_endpoints_in_different_systems(after):
-    before = configuration(G13, EXCLUSION.states, 0, {0: 1})
+def test_transition_validation_rejects_a_source_of_another_state_space(before):
     with pytest.raises(errors.MismatchError,
-                       match="^transition endpoints disagree on the (graph|state space|base state)$"):
-        Transition(before=before, after=after, edge=(0, 1), phi_edge=((1, 0), (0, 1)))
+                       match="^configuration and interaction disagree on the state space$"):
+        Transition(EXCLUSION, before, (0, 1), HOP)
 
 
 def test_transition_validation_rejects_a_before_state_off_the_edge():
     before = configuration(G13, EXCLUSION.states, 0, {0: 1, 1: 1})
-    after = configuration(G13, EXCLUSION.states, 0, {1: 1})
     with pytest.raises(errors.MismatchError, match="before-configuration"):
-        Transition(before=before, after=after, edge=(0, 1), phi_edge=((1, 0), (0, 1)))
+        Transition(EXCLUSION, before, (0, 1), HOP)
+
+
+@pytest.mark.parametrize("edge", [(0, 5), (5, 0), (0, 0), (0, 1, 2), ("0", "1")])
+def test_transition_validation_rejects_an_edge_the_graph_lacks(edge):
+    before = configuration(path_graph(6), EXCLUSION.states, 0, {0: 1})
+    with pytest.raises(errors.UnknownVertexError, match=r"is not a graph edge$"):
+        Transition(EXCLUSION, before, edge, HOP)
 
 
 @pytest.mark.parametrize(
-    "before,after,site",
+    "phi,base,phi_edge",
     [
-        ({0: 1}, {1: 1, 4: 1}, "4"),  # a particle appears away from the edge
-        ({0: 1, -3: 1}, {1: 1}, "-3"),  # one disappears
-        ({0: 1, 5: 1}, {1: 1, 6: 1}, "5"),  # one moves: the smallest site is named
+        (EXCLUSION, 0, ((1, 0), (1, 1))),  # creation
+        (EXCLUSION, 0, ((1, 0), (0, 0))),  # annihilation
+        (EXCLUSION, 0, ((1, 0), (1, 0))),  # an identity edge exclusion lacks
+        (MS2, 0, ((1, 0), (2, 0))),  # a change of species
+        (AC, 1, ((0, 1), (2, 1))),  # a change of charge
     ],
 )
-def test_transition_validation_rejects_a_change_away_from_the_edge(before, after, site):
+def test_transition_validation_rejects_a_move_the_interaction_lacks(phi, base, phi_edge):
+    before = configuration(path_graph(6), phi.states, base, {0: phi_edge[0][0]})
+    assert phi_edge not in phi.edges
+    with pytest.raises(errors.MismatchError,
+                       match="^the transition's move is not an interaction edge$"):
+        Transition(phi, before, (0, 1), phi_edge)
+
+
+@pytest.mark.parametrize(
+    "before,after",
+    [
+        ({0: 1}, {1: 1}),
+        ({0: 1, -3: 1}, {-3: 1, 1: 1}),
+        ({0: 1, 5: 1, 6: 1}, {1: 1, 5: 1, 6: 1}),
+    ],
+)
+def test_the_target_changes_only_the_fired_edge(before, after):
     before = configuration(G13, EXCLUSION.states, 0, before)
-    after = configuration(G13, EXCLUSION.states, 0, after)
-    with pytest.raises(errors.MismatchError, match=f"site {site} changed away"):
-        Transition(before=before, after=after, edge=(0, 1), phi_edge=((1, 0), (0, 1)))
+    tr = Transition(EXCLUSION, before, (0, 1), HOP)
+    assert tr.after == configuration(G13, EXCLUSION.states, 0, after)
+    assert tr.after is tr.after
+    changed = set(tr.before.assignments) ^ set(tr.after.assignments)
+    assert {site for site, _ in changed} == {0, 1}
+
+
+def test_a_transition_has_no_stored_target():
+    before = configuration(G13, EXCLUSION.states, 0, {0: 1})
+    assert Transition._fields == ("phi", "before", "edge", "phi_edge")
+    with pytest.raises(TypeError):
+        Transition(EXCLUSION, before, (0, 1), HOP, after=before)
 
 
 def test_component_size_is_binomial_for_exclusion():
@@ -170,8 +200,7 @@ def test_discovery_transitions_replay():
     eta = configuration(g, EXCLUSION.states, 0, {0: 1, 1: 1})
     res = component_bfs(EXCLUSION, eta)
     for tr in res.discovery:
-        replayed = transition_from_document(tr.to_document(), EXCLUSION, tr.before)
-        assert replayed.after == tr.after
+        assert transition_from_document(tr.to_document(), EXCLUSION, tr.before) == tr
 
 
 def test_transition_document_mismatch_raises():
@@ -333,9 +362,8 @@ def reference_neighbors(phi, eta):
                 if after.assignments in seen:
                     continue
                 seen.add(after.assignments)
-                out.append(
-                    Transition(before=eta, after=after, edge=(ox, oy), phi_edge=(pair, (c, d)))
-                )
+                out.append(Transition(phi, eta, (ox, oy), (pair, (c, d))))
+                assert out[-1].after == after
     return out
 
 
@@ -610,3 +638,61 @@ def test_fire_keeps_the_reference_order_for_random_interactions(phi, graph):
     codes = ConfigCode(phi, graph)
     for code in range(codes.size):
         assert list(codes.fire(code)) == list(reference_fire(codes, code))
+
+
+# ---------------------------------------------------------------------------
+# one move rule for both readers of a transition document
+
+
+@settings(max_examples=60, deadline=None)
+@given(phi=small_interactions(), graph=st.sampled_from(list(FIRE_GRAPHS.values())),
+       data=st.data())
+def test_both_readers_replay_every_move_and_the_target_is_the_decoded_code(phi, graph, data):
+    codes = ConfigCode(phi, graph)
+    base = data.draw(st.integers(0, phi.states.n - 1))
+    eta = codes.decode(data.draw(st.integers(0, codes.size - 1)), base)
+    for tr in neighbors(phi, eta):
+        doc = tr.to_document()
+        assert transition_from_document(doc, phi, tr.before) == tr
+        assert codes.apply(codes.read(doc), codes.encode(tr.before)) == codes.encode(tr.after)
+    res = component_bfs(phi, eta, max_states=50)
+    assert [tr.after for tr in res.discovery] == [codes.decode(w, base) for *_, w in res.steps]
+
+
+def move_membership_tests(tree: ast.AST) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of each ``in`` / ``not in`` test against
+    something named ``edges``: ``e in graph.edges``, ``e not in edges``."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Compare)
+                    and any(isinstance(op, (ast.In, ast.NotIn)) for op in child.ops)
+                    and any(getattr(side, "attr", getattr(side, "id", None)) == "edges"
+                            for side in child.comparators)):
+                found.append((where, child.lineno))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_move_rule_tests_membership_in_the_edges():
+    source = open(transitions.__file__, encoding="utf-8").read()
+    assert {where for where, _ in move_membership_tests(ast.parse(source))} == {"_require_move"}
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("if (x, y) not in graph.edges:\n    pass\n", [(None, 1)]),
+        ("def f(self, e):\n    return e in self.phi.edges\n", [("f", 2)]),
+        ("class C:\n    def g(self, edges, e):\n        return e not in edges\n", [("g", 3)]),
+        ("ok = e in g.edges and p in phi.edges", [(None, 1), (None, 1)]),
+        ("for e in phi.edges:\n    pass\n", []),
+        ("ok = x in graph.vertices or e in graph.unordered_edges()", []),
+        ("ok = e == phi.edges", []),
+    ],
+)
+def test_the_move_scan_sees_each_membership_test(source, found):
+    assert move_membership_tests(ast.parse(source)) == found
