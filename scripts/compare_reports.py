@@ -4,9 +4,10 @@
 Each workload of ``perfbench/workloads.py`` is built at each seed, its input
 files are written once into a scratch directory, and every op, the warm-up
 included, runs once under each tree's ``src``.  So does a fixed list of
-calls: the parser's (help, the version, flag errors, the dash-led or
-repeated values a command line may carry, and integers out of their range),
-and ``consv`` at every base of every builtin, not only at the declared one.
+calls: the parser's (the help of every subcommand, the version, flag errors,
+the dash-led or repeated values a command line may carry, and integers out of
+their range), four ``--format table`` reports, and ``consv`` at every base of
+every builtin, not only at the declared one.
 Stdout, stderr and exit status must be identical.  One line is printed per
 difference, and the exit status is 1 when there is any.
 
@@ -30,9 +31,11 @@ import workloads  # noqa: E402
 
 BOOT = "import sys; from latticecalc.cli import main; sys.exit(main(sys.argv[1:]))"
 OP_TIMEOUT_S = 120
+COMMANDS = ("consv", "exchangeable", "expand", "rebase", "diff", "neighbors", "component",
+            "swap-path", "invariant", "h0", "extract", "kernel")
 PARSER_CALLS = [
     ["--help"],
-    ["kernel", "--help"],
+    *([name, "--help"] for name in COMMANDS),
     ["--version"],
     ["kernel", "--interaction", "exclusion", "--radius", "abc", "--window=-8:8"],
     ["component", "--interaction", "exclusion", "--graph", "lattice:1:-2:2",
@@ -51,9 +54,19 @@ PARSER_CALLS = [
     ["h0", "--interaction", "exclusion", "--graph", "lattice:1:3:0"],
     ["consv", "--interaction", "multispecies:0"],
 ]
-FIXED_CALLS = PARSER_CALLS + [["consv", "--interaction", name, f"--base={label}"]
-                              for name in workloads.BUILTINS
-                              for label in oracles.interaction(name)[0]]
+# the table renderer, on the calls that read no input file
+TABLE_CALLS = [
+    ["consv", "--interaction", "exclusion"],
+    ["exchangeable", "--interaction", "quastel2"],
+    ["h0", "--interaction", "exclusion", "--graph", "path:4"],
+    ["kernel", "--interaction", "exclusion", "--radius", "1", "--window=-4:4"],
+]
+FIXED_CALLS = [
+    *PARSER_CALLS,
+    *([*argv, "--format", "table"] for argv in TABLE_CALLS),
+    *(["consv", "--interaction", name, f"--base={label}"]
+      for name in workloads.BUILTINS for label in oracles.interaction(name)[0]),
+]
 
 
 def run_op(root: Path, argv, cwd: Path, pycache: Path):

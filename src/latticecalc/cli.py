@@ -7,7 +7,11 @@ re-run on the results.  ``component`` and ``swap-path`` write each
 transition as a JSON line ahead of the report once the work is done.
 ``--format table`` renders the same payload as indented text instead.
 
-``COMMANDS`` lists each subcommand's handler, help text and flags.
+``COMMANDS`` lists each subcommand's handler, help text and flags.  A
+handler ``cmd_x(args, inputs)`` reads its inputs, each loader recording a
+digest in ``inputs``, and returns its outputs, its checks and, for
+``component`` and ``swap-path``, its lines; ``main`` alone hands them to
+``_emit``, which takes the report's command and ``params`` from the call.
 ``read_argv`` reads a well-formed call straight from it; help, ``--version``
 and every malformed call go to the argparse parser ``build_parser`` makes
 from the same table, so their texts are argparse's own.
@@ -198,9 +202,15 @@ def _table_row(doc) -> str:
     return f"{x}~{y}: {','.join(doc['from'])} -> {','.join(doc['to'])}"
 
 
-def _emit(args, command: str, inputs, params, outputs, verification, lines=()) -> int:
+def _emit(args, inputs, outputs, verification, lines=()) -> int:
+    """Report ``args.command``; its params: the required flags and a given ``--max-states``."""
+    params = {}
+    for flag, keywords in COMMANDS[args.command][2].items():
+        value = getattr(args, _dest(flag, keywords))
+        if keywords.get("required") or (flag == "--max-states" and value is not None):
+            params[flag[2:].replace("-", "_")] = value
     report = {
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
         "outputs": outputs,
         "params": params,
@@ -231,24 +241,27 @@ def _emit(args, command: str, inputs, params, outputs, verification, lines=()) -
 # subcommands
 
 
-def cmd_consv(args) -> int:
-    inputs: dict = {}
+def _system(args, inputs: dict):
+    """The interaction, graph and configuration a ``_SYSTEM`` command reads."""
+    phi = _interaction_arg(args.interaction, inputs)
+    graph = _graph_arg(args.graph, inputs)
+    return phi, graph, _config_file(args.config, phi.states, graph, inputs, "config")
+
+
+def cmd_consv(args, inputs):
     phi = _interaction_arg(args.interaction, inputs)
     base = _base_index(phi.states, args.base)
     basis = consv_basis(phi, base)
     constant = all(xi.pair_sum_constant(phi) for xi in basis)
-    verification = [("pair-sum-constant", "pass" if constant else "fail")]
     outputs = {
         "base": phi.states.labels[base],
         "dimension": len(basis),
         "basis": [xi.to_document() for xi in basis],
     }
-    params = {"interaction": args.interaction}
-    return _emit(args, "consv", inputs, params, outputs, verification)
+    return outputs, [("pair-sum-constant", "pass" if constant else "fail")]
 
 
-def cmd_exchangeable(args) -> int:
-    inputs: dict = {}
+def cmd_exchangeable(args, inputs):
     phi = _interaction_arg(args.interaction, inputs)
     answer = is_exchangeable(phi)
     verification = []
@@ -262,15 +275,11 @@ def cmd_exchangeable(args) -> int:
                     cur = dst
                 realized &= cur == (b, a)
         verification.append(("pair-path-realized", "pass" if realized else "fail"))
-    outputs = {"exchangeable": answer}
-    params = {"interaction": args.interaction}
-    return _emit(args, "exchangeable", inputs, params, outputs, verification)
+    return {"exchangeable": answer}, verification
 
 
-def cmd_expand(args) -> int:
-    inputs: dict = {}
-    doc, digest = _read_json(args.function)
-    inputs["function"] = digest
+def cmd_expand(args, inputs):
+    doc, inputs["function"] = _read_json(args.function)
     parse_object(doc, f"function file {args.function}", ("states",))
     states = load_states(doc)
     fn = load_local_function({k: v for k, v in doc.items() if k not in ("states", "base")}, states)
@@ -284,57 +293,37 @@ def cmd_expand(args) -> int:
         "base": states.labels[base],
         "components": component_list_to_document(comps),
     }
-    params = {"function": args.function}
-    return _emit(args, "expand", inputs, params, outputs, verification)
+    return outputs, verification
 
 
-def cmd_rebase(args) -> int:
-    inputs: dict = {}
+def cmd_rebase(args, inputs):
     fn, states, _ = _function_file(args.function, inputs, args.graph)
-    new_base = states.index(args.base)
-    moved = rebase(fn, new_base)
+    moved = rebase(fn, states.index(args.base))
     back = rebase(moved, fn.base_index)
     verification = [("involution", "pass" if families_equal(back, fn) else "fail")]
-    outputs = {"function": _function_doc(moved)}
-    params = {"function": args.function, "base": args.base}
-    return _emit(args, "rebase", inputs, params, outputs, verification)
+    return {"function": _function_doc(moved)}, verification
 
 
-def cmd_diff(args) -> int:
-    inputs: dict = {}
+def cmd_diff(args, inputs):
     fn, states, graph = _function_file(args.function, inputs, args.graph)
     before = _config_file(args.from_config, states, graph, inputs, "from", fn.base_index)
     after = _config_file(args.to_config, states, graph, inputs, "to", fn.base_index)
     value = difference(fn, before, after)
     direct = evaluate(fn, after) - evaluate(fn, before)
     verification = [("evaluation-consistent", "pass" if direct == value else "fail")]
-    outputs = {"value": format_rational(value)}
-    params = {"function": args.function, "from": args.from_config, "to": args.to_config}
-    return _emit(args, "diff", inputs, params, outputs, verification)
+    return {"value": format_rational(value)}, verification
 
 
-def cmd_neighbors(args) -> int:
-    inputs: dict = {}
-    phi = _interaction_arg(args.interaction, inputs)
-    graph = _graph_arg(args.graph, inputs)
-    eta = _config_file(args.config, phi.states, graph, inputs, "config")
+def cmd_neighbors(args, inputs):
+    phi, _, eta = _system(args, inputs)
     found = neighbors(phi, eta)
     docs = [tr.to_document() for tr in found]
-    ok = all(
-        transition_from_document(doc, phi, tr.before) == tr
-        for doc, tr in zip(docs, found)
-    )
-    verification = [("round-trip", "pass" if ok else "fail")]
-    outputs = {"count": len(found), "transitions": docs}
-    params = {"interaction": args.interaction, "graph": args.graph, "config": args.config}
-    return _emit(args, "neighbors", inputs, params, outputs, verification)
+    ok = all(transition_from_document(doc, phi, tr.before) == tr for doc, tr in zip(docs, found))
+    return {"count": len(found), "transitions": docs}, [("round-trip", "pass" if ok else "fail")]
 
 
-def cmd_component(args) -> int:
-    inputs: dict = {}
-    phi = _interaction_arg(args.interaction, inputs)
-    graph = _graph_arg(args.graph, inputs)
-    eta = _config_file(args.config, phi.states, graph, inputs, "config")
+def cmd_component(args, inputs):
+    phi, _, eta = _system(args, inputs)
     result = component_bfs(phi, eta, max_states=args.max_states)
     keys = [(edge, phi_edge) for _, edge, phi_edge, _ in result.steps]
     docs = {key: transition_document(*key, phi.states.labels) for key in dict.fromkeys(keys)}
@@ -347,24 +336,16 @@ def cmd_component(args) -> int:
         )
     except MismatchError:
         ok = False
-    verification = [("round-trip", "pass" if ok else "fail")]
     outputs = {
         "size": len(result.visited),
         "transitions": len(keys),
         "truncated": result.truncated,
     }
-    params = {"interaction": args.interaction, "graph": args.graph, "config": args.config}
-    if args.max_states is not None:
-        params["max_states"] = args.max_states
-    lines = [docs[key] for key in keys]
-    return _emit(args, "component", inputs, params, outputs, verification, lines=lines)
+    return outputs, [("round-trip", "pass" if ok else "fail")], [docs[key] for key in keys]
 
 
-def cmd_swap_path(args) -> int:
-    inputs: dict = {}
-    phi = _interaction_arg(args.interaction, inputs)
-    graph = _graph_arg(args.graph, inputs)
-    eta = _config_file(args.config, phi.states, graph, inputs, "config")
+def cmd_swap_path(args, inputs):
+    phi, graph, eta = _system(args, inputs)
     x, y = (graph.parse_site(token) for token in args.sites)
     path = swap_path(phi, eta, x, y)
     docs = [tr.to_document() for tr in path]
@@ -377,17 +358,10 @@ def cmd_swap_path(args) -> int:
         "steps": len(docs),
         "endpoint": configuration_to_document(cur),
     }
-    params = {
-        "interaction": args.interaction,
-        "graph": args.graph,
-        "config": args.config,
-        "sites": list(args.sites),
-    }
-    return _emit(args, "swap-path", inputs, params, outputs, verification, lines=docs)
+    return outputs, verification, docs
 
 
-def cmd_invariant(args) -> int:
-    inputs: dict = {}
+def cmd_invariant(args, inputs):
     phi = _interaction_arg(args.interaction, inputs)
     fn, states, graph = _function_file(args.function, inputs, args.graph, phi.states)
     probes = []
@@ -403,17 +377,13 @@ def cmd_invariant(args) -> int:
         "transitions": check.transitions_checked,
         "coverage": check.coverage,
     }
-    params = {"function": args.function, "interaction": args.interaction}
-    return _emit(args, "invariant", inputs, params, outputs, [])
+    return outputs, []
 
 
-def cmd_h0(args) -> int:
-    inputs: dict = {}
+def cmd_h0(args, inputs):
     phi = _interaction_arg(args.interaction, inputs)
-    graph = _graph_arg(args.graph, inputs)
-    summary = h0_h1_finite(phi, graph)
-    # a violation raises first: SchemaError in the summary, VerificationError in h0
-    verification = [("rank-nullity", "pass")]
+    summary = h0_h1_finite(phi, _graph_arg(args.graph, inputs))
+    # h0_h1_finite raises VerificationError unless h0 is also the component count
     outputs = {
         "dim_c0": summary.dim_c0,
         "dim_c1": summary.dim_c1,
@@ -421,12 +391,10 @@ def cmd_h0(args) -> int:
         "h0": summary.h0,
         "h1": summary.h1,
     }
-    params = {"interaction": args.interaction, "graph": args.graph}
-    return _emit(args, "h0", inputs, params, outputs, verification)
+    return outputs, [("rank-nullity", "pass")]
 
 
-def cmd_extract(args) -> int:
-    inputs: dict = {}
+def cmd_extract(args, inputs):
     phi = _interaction_arg(args.interaction, inputs)
     fn, states, _ = _function_file(args.function, inputs, args.graph, phi.states)
     result = extract_conserved(fn, phi)
@@ -447,12 +415,10 @@ def cmd_extract(args) -> int:
         "xi": result.xi.to_document() if result.xi else None,
         "witness": witness,
     }
-    params = {"function": args.function, "interaction": args.interaction}
-    return _emit(args, "extract", inputs, params, outputs, verification)
+    return outputs, verification
 
 
-def cmd_kernel(args) -> int:
-    inputs: dict = {}
+def cmd_kernel(args, inputs):
     phi = _interaction_arg(args.interaction, inputs)
     if args.window is not None and args.graph is not None:
         raise SchemaError("kernel takes --window or --graph, not both")
@@ -470,8 +436,6 @@ def cmd_kernel(args) -> int:
     graph = _graph_arg(token, inputs)
     base = _base_index(phi.states, args.base)
     report = invariance_kernel(phi, args.radius, graph, base)
-    # invariance_kernel raises VerificationError unless this check passes
-    verification = [("basis-annihilates-all-rows", "pass")]
     outputs = {
         "window": list(report.window),
         "k": report.k,
@@ -482,8 +446,8 @@ def cmd_kernel(args) -> int:
         "dimension": report.dimension,
         "basis": [uniform_to_document(fn) for fn in report.basis],
     }
-    params = {"interaction": args.interaction, "radius": args.radius}
-    return _emit(args, "kernel", inputs, params, outputs, verification)
+    # invariance_kernel raises VerificationError unless this check passes
+    return outputs, [("basis-annihilates-all-rows", "pass")]
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +526,11 @@ def build_parser():
     return parser
 
 
+def _dest(flag: str, keywords: dict) -> str:
+    """The attribute argparse stores ``flag`` under."""
+    return keywords.get("dest", flag[2:].replace("-", "_"))
+
+
 def read_argv(argv: list[str]):
     """``build_parser().parse_args(argv)`` of a well-formed call, read without argparse;
     None for help, an unknown, abbreviated, bad or missing flag, or any other call."""
@@ -569,7 +538,7 @@ def read_argv(argv: list[str]):
         return None
     handler, _, own = COMMANDS[argv[0]]
     flags = {**_COMMON, **own}
-    dest = {flag: kw.get("dest", flag[2:].replace("-", "_")) for flag, kw in flags.items()}
+    dest = {flag: _dest(flag, kw) for flag, kw in flags.items()}
     args = SimpleNamespace(command=argv[0], func=handler,
                            **{dest[flag]: kw.get("default") for flag, kw in flags.items()})
     i = 1
@@ -605,7 +574,8 @@ def read_argv(argv: list[str]):
 def main(argv=None) -> int:
     try:
         args = read_argv(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
-        return args.func(args)
+        inputs: dict = {}
+        return _emit(args, inputs, *args.func(args, inputs))
     except LatticeCalcError as exc:
         line = _dumps({"error": {"code": exc.code, "message": str(exc)}})
         sys.stderr.write(line + "\n")

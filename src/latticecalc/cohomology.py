@@ -53,14 +53,14 @@ class CochainSpaceSummary(Record):
     dim_c0: int
     dim_c1: int
     rank_d: int
-    h0: int
-    h1: int
 
-    def __post_init__(self) -> None:
-        if self.h0 != self.dim_c0 - self.rank_d:
-            raise SchemaError("h0 violates rank-nullity")
-        if self.h1 != self.dim_c1 - self.rank_d:
-            raise SchemaError("h1 violates rank-nullity")
+    @property
+    def h0(self) -> int:
+        return self.dim_c0 - self.rank_d
+
+    @property
+    def h1(self) -> int:
+        return self.dim_c1 - self.rank_d
 
 
 def h0_h1_finite(phi: Interaction, graph: SiteGraph) -> CochainSpaceSummary:
@@ -108,13 +108,7 @@ def h0_h1_finite(phi: Interaction, graph: SiteGraph) -> CochainSpaceSummary:
     components, rank = size - top, reducer.rank
     if components != size - rank:
         raise VerificationError("component count and difference rank disagree")
-    return CochainSpaceSummary(
-        dim_c0=size,
-        dim_c1=pairs,
-        rank_d=rank,
-        h0=components,
-        h1=pairs - rank,
-    )
+    return CochainSpaceSummary(dim_c0=size, dim_c1=pairs, rank_d=rank)
 
 
 # ---------------------------------------------------------------------------

@@ -134,10 +134,11 @@ def neighbors(phi: Interaction, eta: Configuration) -> list[Transition]:
     ``Interaction.edge_moves`` at each edge x < y, edges sorted, a flipped
     move fired as (y, x); each reachable configuration once."""
     require_same_system(eta, phi, "configuration and interaction")
+    held, base = eta._lookup, eta.base_index  # the graph's own sites: no public check
     return [
         Transition(phi, eta, (y, x) if flipped else (x, y), phi_edge)
         for x, y in eta.graph.unordered_edges()
-        for flipped, phi_edge, _ in phi.edge_moves[(eta.state_at(x), eta.state_at(y))]
+        for flipped, phi_edge, _ in phi.edge_moves[(held.get(x, base), held.get(y, base))]
     ]
 
 

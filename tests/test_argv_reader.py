@@ -6,6 +6,7 @@ command table's flags."""
 
 import hashlib
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticecalc.cli import _COMMON, COMMANDS, _digest, build_parser, read_argv
+from latticecalc.cli import _COMMON, COMMANDS, _digest, build_parser, main, read_argv
 
 from test_cli import test_bad_or_missing_flags_are_schema_errors as bad_flag_test
 
@@ -57,6 +58,39 @@ def test_every_benchmark_op_is_read_without_argparse(benchmark_ops):
     assert len({argv[0] for argv in benchmark_ops}) == len(COMMANDS)
     for argv in benchmark_ops:
         assert assert_reads_as_argparse(argv) is not None, argv
+
+
+def one_call_per_command(benchmark_ops):
+    """The first benchmark op of each command, and that of ``component``
+    again with ``--max-states``."""
+    ops = {}
+    for argv, op in benchmark_ops.items():
+        ops.setdefault(argv[0], (list(argv), op.files))
+    argv, files = ops["component"]
+    return [*ops.values(), ([*argv, "--max-states", "9"], files)]
+
+
+def test_the_params_are_the_required_flags_and_a_given_max_states(
+        benchmark_ops, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    calls = one_call_per_command(benchmark_ops)
+    assert len(calls) == len(COMMANDS) + 1
+    for argv, files in calls:
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        assert main(argv) == 0, argv
+        report = json.loads(capsys.readouterr().out.splitlines()[-1])
+        args = build_parser().parse_args(argv)
+        flags = COMMANDS[argv[0]][2]
+        want = {}
+        for flag, kw in flags.items():
+            key = flag[2:].replace("-", "_")
+            if kw.get("required"):
+                want[key] = getattr(args, kw.get("dest", key))
+        if "--max-states" in argv:
+            want["max_states"] = args.max_states
+        assert report["command"] == argv[0]
+        assert report["params"] == want, argv
 
 
 # the calls of test_cli's bad-or-missing-flag cases, read from its parametrize mark

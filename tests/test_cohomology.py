@@ -131,9 +131,11 @@ def test_annihilation_path2_frozen_values():
     assert (s.dim_c0, s.dim_c1, s.rank_d, s.h0, s.h1) == (9, 5, 4, 5, 1)
 
 
-def test_summary_rejects_rank_nullity_violations():
-    with pytest.raises(errors.SchemaError):
+def test_summary_computes_h0_and_h1_by_rank_nullity():
+    with pytest.raises(TypeError):
         CochainSpaceSummary(dim_c0=4, dim_c1=2, rank_d=1, h0=2, h1=1)
+    s = CochainSpaceSummary(dim_c0=4, dim_c1=2, rank_d=1)
+    assert (s.h0, s.h1) == (3, 1)
 
 
 def test_enumeration_cap():

@@ -71,7 +71,7 @@ def handler(argv):
     not reported."""
     def run(doc, path):
         args = read_argv([path if a == FILE else a for a in argv])
-        return args.func(args)
+        return args.func(args, {})
     return run
 
 

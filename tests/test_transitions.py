@@ -609,6 +609,25 @@ def test_neighbors_fire_as_the_codes_do_for_random_interactions(phi, graph):
     assert_neighbors_fire_as_codes(phi, graph)
 
 
+@pytest.mark.parametrize("name", ["exclusion", "two-species-ac"])
+def test_neighbors_check_no_vertex_beyond_the_transitions_own(monkeypatch, name):
+    """The states at the graph's own edges are read without the public
+    vertex check; each ``Transition`` still checks its source's sites."""
+    phi, graph = builtin_interaction(name), lattice_window(1, 0, 40)
+    nonbase = int(phi.states.base_index == 0)
+    eta = configuration(graph, phi.states, phi.states.base_index, {5: nonbase, 30: nonbase})
+    calls = []
+    check = type(graph).require_vertex
+    monkeypatch.setattr(type(graph), "require_vertex",
+                        lambda self, *sites: calls.append(sites) or check(self, *sites))
+    found = neighbors(phi, eta)
+    seen = len(calls)
+    calls.clear()
+    rebuilt = [Transition(phi, eta, tr.edge, tr.phi_edge) for tr in found]
+    assert found and rebuilt == found
+    assert seen == len(calls)
+
+
 def reference_fire(codes, code):
     """``ConfigCode.fire`` as it was before its moves were tabulated: read
     both digits at each sorted edge, then orient and offset every move."""
