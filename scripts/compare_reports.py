@@ -6,8 +6,8 @@ files are written once into a scratch directory, and every op, the warm-up
 included, runs once under each tree's ``src``.  So does a fixed list of
 calls: the parser's (the help of every subcommand, the version, flag errors,
 the dash-led or repeated values a command line may carry, and integers out of
-their range), four ``--format table`` reports, and ``consv`` at every base of
-every builtin, not only at the declared one.
+their range), two refusals of the cap rule, four ``--format table`` reports,
+and ``consv`` at every base of every builtin, not only at the declared one.
 Stdout, stderr and exit status must be identical.  One line is printed per
 difference, and the exit status is 1 when there is any.
 
@@ -54,6 +54,11 @@ PARSER_CALLS = [
     ["h0", "--interaction", "exclusion", "--graph", "lattice:1:3:0"],
     ["consv", "--interaction", "multispecies:0"],
 ]
+# the cap rule's refusals, worded with the full count
+CAP_CALLS = [
+    ["h0", "--interaction", "exclusion", "--graph", "path:30"],
+    ["kernel", "--interaction", "exclusion", "--radius", "10", "--window=-60:60"],
+]
 # the table renderer, on the calls that read no input file
 TABLE_CALLS = [
     ["consv", "--interaction", "exclusion"],
@@ -63,6 +68,7 @@ TABLE_CALLS = [
 ]
 FIXED_CALLS = [
     *PARSER_CALLS,
+    *CAP_CALLS,
     *([*argv, "--format", "table"] for argv in TABLE_CALLS),
     *(["consv", "--interaction", name, f"--base={label}"]
       for name in workloads.BUILTINS for label in oracles.interaction(name)[0]),

@@ -1,4 +1,4 @@
-"""Resource caps for dense tables and searches.
+"""Resource caps for dense tables and searches, and the one rule that checks them.
 
 Defaults are sized for desk-scale experiments.  The environment variable
 ``LATTICECALC_CAPS`` raises them, e.g.::
@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 
-from .errors import Record, SchemaError
+from .errors import CapExceededError, Record, SchemaError
 from .rationals import parse_int
 
 ENV_VAR = "LATTICECALC_CAPS"
@@ -30,6 +30,20 @@ _FIELD_NAMES = set(Caps._fields)
 def current() -> Caps:
     """Caps taken from the environment when set, defaults otherwise."""
     return _parse(os.environ.get(ENV_VAR, ""))
+
+
+def require(field: str, needed: int, message: str) -> int:
+    """The cap ``field``'s limit, counted before the work it bounds; a larger
+    ``needed`` raises ``CapExceededError(message.format(needed, limit))``, a
+    count past the interpreter's digit limit shown by its size (``2^15000+``)."""
+    limit = getattr(current(), field)
+    if needed > limit:
+        try:
+            shown = str(needed)
+        except ValueError:  # past the interpreter's digit limit
+            shown = f"2^{needed.bit_length() - 1}+"
+        raise CapExceededError(message.format(shown, limit))
+    return limit
 
 
 @lru_cache(maxsize=8)

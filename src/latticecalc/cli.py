@@ -107,7 +107,7 @@ def _read_json(path: str):
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, parse_int=parse_int)  # the one text-to-integer reader
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     return doc, _digest(raw)

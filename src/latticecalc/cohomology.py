@@ -23,15 +23,8 @@ from fractions import Fraction
 from itertools import product
 
 from . import caps, linalg
-from .errors import (
-    CapExceededError,
-    NormalizationError,
-    Record,
-    SchemaError,
-    VerificationError,
-    WindowTooSmallError,
-    require_same_system,
-)
+from .errors import (NormalizationError, Record, SchemaError, VerificationError,
+                     WindowTooSmallError, require_same_system)
 from .interaction import ConservedQuantity, Interaction, _candidate_supports, _template_rows
 from .localfn import LocalFunction
 from .rationals import require_int
@@ -79,11 +72,9 @@ def h0_h1_finite(phi: Interaction, graph: SiteGraph) -> CochainSpaceSummary:
     star row to {w, root}, then through w's star row to nothing, or it is
     kept as w's star row: at most two elimination steps per pair.
     """
+    size = phi.states.n ** len(graph.vertices)
+    caps.require("max_table", size, "{} configurations exceed cap {}")
     codes = ConfigCode(phi, graph)
-    size = codes.size
-    limit = caps.current().max_table
-    if size > limit:
-        raise CapExceededError(f"{size} configurations exceed cap {limit}")
     reducer = linalg.RowReducer()
     column = [-1] * size
     free, top, pairs = 0, size, 0
@@ -190,12 +181,12 @@ def _kernel_unknowns(phi: Interaction, radius: int, graph: SiteGraph, base: int)
 
     The cap is checked before they are listed: a support starting at x adds
     any of the m_x window sites in (x, x + k·R], and each of its sites takes
-    n − 1 values, so there are (n − 1)·Σ_x n^(m_x) unknowns."""
+    n − 1 values, so there are (n − 1)·Σ_x n^(m_x) unknowns: n^r − 1 +
+    (n − 1)·(w − r)·n^r on w window sites, with r = min(k·R, w)."""
     n, (a, b), reach = phi.states.n, graph.window, graph.k * radius
-    count = (n - 1) * sum(n ** min(reach, b - x) for x in range(a, b + 1))
-    limit = caps.current().max_unknowns
-    if count > limit:
-        raise CapExceededError(f"{count} unknowns exceed cap {limit}")
+    r = min(reach, b - a + 1)
+    count = n ** r - 1 + (n - 1) * (b - a + 1 - r) * n ** r
+    caps.require("max_unknowns", count, "{} unknowns exceed cap {}")
     lo, hi = _inner_window(graph, radius)
     nonbase = [s for s in range(n) if s != base]
     supports = _candidate_supports(a, b, reach)

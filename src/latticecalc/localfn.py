@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from . import caps
-from .errors import CapExceededError, Record, SchemaError, SupportError, require_same_system
+from .errors import Record, SchemaError, SupportError, require_same_system
 from .interaction import StateSpace
 from .rationals import ensure_fraction, require_int
 from .sitegraph import Site, are_sites
@@ -38,12 +38,9 @@ def _sorted_support(sites, like: tuple[Site, ...] = ()) -> tuple[Site, ...]:
 
 def _table_size(states: StateSpace, arity: int) -> int:
     """n ** arity, once the support and table caps allow that many entries."""
-    limits = caps.current()
-    if arity > limits.max_support:
-        raise CapExceededError(f"support of {arity} sites exceeds cap {limits.max_support}")
+    caps.require("max_support", arity, "support of {} sites exceeds cap {}")
     size = states.n ** arity
-    if size > limits.max_table:
-        raise CapExceededError(f"table of {size} entries exceeds cap {limits.max_table}")
+    caps.require("max_table", size, "table of {} entries exceeds cap {}")
     return size
 
 
@@ -219,8 +216,7 @@ def assemble(
             raise SupportError(f"component support {lam} not contained in {supp}")
         if tuple(lam) != comp.support:
             raise SupportError(f"component keyed {lam} has support {comp.support}")
-    if not components:
-        return LocalFunction.zero(states, supp)
+    _table_size(states, len(supp))  # the sum's table, before any entry of it
     table = []
     items = sorted(components.items(), key=lambda kv: (len(kv[0]), kv[0]))
     positioned = [(comp.table, comp.index_of, [supp.index(s) for s in lam]) for lam, comp in items]

@@ -14,10 +14,13 @@ _RATIONAL_RE = re.compile(_INT_RE.pattern + "(/[1-9][0-9]*)?")
 
 
 def parse_int(text: str, message: str = "") -> int:
-    """The integer ``text`` spells as ASCII ``-?[0-9]+``; anything else (a
-    "+", whitespace, "_", another digit) raises ``SchemaError(message)``."""
+    """The integer ``text`` spells as ASCII ``-?[0-9]+``; anything else (a "+",
+    whitespace, "_", another digit, too many digits) is ``SchemaError(message)``."""
     if isinstance(text, str) and _INT_RE.fullmatch(text):
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's digit limit, which bounds parse time
+            pass
     raise SchemaError(message or f"invalid int value: {text!r}")
 
 
@@ -62,9 +65,10 @@ def parse_rational(text: str) -> Fraction:
     """Parse a rational literal: "p/q" with q > 0, or an integer "n"."""
     if not isinstance(text, str):
         raise SchemaError(f"rational literals are strings, got {type(text).__name__}")
+    bad = f"not a rational literal: {text!r}"
     if not _RATIONAL_RE.fullmatch(text):
-        raise SchemaError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+        raise SchemaError(bad)
+    return Fraction(*(parse_int(part, bad) for part in text.split("/")))
 
 
 def format_rational(value: Fraction) -> str:

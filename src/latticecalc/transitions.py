@@ -179,13 +179,14 @@ def component_bfs(
 
     The search runs over ``ConfigCode`` integers and builds no configuration
     or transition.  Stops after ``max_states`` visited configurations
-    (default from caps, at least 1) and reports ``truncated=True`` rather
-    than raising.
+    (at least 1, the start, and at most the ``max_bfs`` cap, the default)
+    and reports ``truncated=True`` rather than raising.
     """
     require_same_system(eta, phi, "configuration and interaction")
-    if max_states is None:
-        max_states = caps.current().max_bfs
-    require_int(max_states, "max_states must be at least 1, got {}", 1)
+    if max_states is not None:
+        require_int(max_states, "max_states must be at least 1, got {}", 1)
+    cap = caps.require("max_bfs", max_states or 1, "a search of {} states exceeds cap {}")
+    max_states = max_states or cap
     codes = ConfigCode(phi, eta.graph)
     start = codes.encode(eta)
     visited, seen, steps = [start], {start}, []

@@ -737,6 +737,27 @@ def test_kernel_refuses_too_many_unknowns_before_listing_them(capsys, monkeypatc
                                     "message": f"{count} unknowns exceed cap 20000"}}) + "\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["h0", "--interaction", "exclusion", "--graph", "path:15000"],
+     "2^15000+ configurations exceed cap 1048576"),
+    (["kernel", "--interaction", "exclusion", "--radius", "15000", "--window=-30002:30002"],
+     "2^15015+ unknowns exceed cap 20000"),
+    (["component", "--interaction", "exclusion", "--graph", "lattice:1:-2:2",
+      "--config", "one.json", "--max-states", "1000001"],
+     "a search of 1000001 states exceeds cap 1000000"),
+], ids=["h0", "kernel", "component"])
+def test_an_over_cap_call_ends_in_one_cap_exceeded_line(capsys, monkeypatch, workdir, argv,
+                                                        message):
+    """A count past the interpreter's digit limit is named by its size."""
+    monkeypatch.delenv("LATTICECALC_CAPS", raising=False)
+    monkeypatch.chdir(workdir)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and not out
+    assert err == _dumps({"error": {"code": "cap-exceeded", "message": message}}) + "\n"
+
+
 def test_expand_refuses_a_support_over_the_cap_before_building_its_table(capsys, tmp_path,
                                                                          monkeypatch):
     monkeypatch.delenv("LATTICECALC_CAPS", raising=False)

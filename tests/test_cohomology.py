@@ -143,6 +143,17 @@ def test_enumeration_cap():
         h0_h1_finite(builtin_interaction("multispecies:3"), path_graph(12))
 
 
+def test_h0_counts_its_configurations_before_it_encodes_them(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ConfigCode built before the cap check")
+
+    monkeypatch.delenv("LATTICECALC_CAPS", raising=False)
+    monkeypatch.setattr(cohomology, "ConfigCode", refuse)
+    with pytest.raises(errors.CapExceededError,
+                       match="^1073741824 configurations exceed cap 1048576$"):
+        h0_h1_finite(builtin_interaction("exclusion"), path_graph(30))
+
+
 @pytest.mark.parametrize("name", ["exclusion", "multispecies:2", "two-species-ac"])
 @pytest.mark.parametrize("k,radius,window", [(1, 0, (-2, 2)), (1, 1, (-4, 4)),
                                              (2, 1, (-5, 6)), (1, 2, (-6, 7))])

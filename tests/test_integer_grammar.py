@@ -85,6 +85,40 @@ def test_a_superscript_species_count_is_a_schema_error_not_a_crash(capsys):
     )
 
 
+NINES = "9" * 5000  # ASCII digits, but past the interpreter's 4,300-digit limit
+PAST_THE_DIGIT_LIMIT = {
+    "shorthand": ([*H0, f"path:{NINES}"], {}),
+    "flag": ([*KERNEL, NINES, "--window=-4:4"], {}),
+    "graph-file": ([*H0, "big.json"], {"big.json": f'{{"kind": "path", "n": {NINES}}}'}),
+    "site-key": (["neighbors", *ON_PATH3[:-1], "big.json"],
+                 {"big.json": f'{{"base": "0", "assignments": {{"{NINES}": "1"}}}}'}),
+    "table-entry": (["expand", "--function", "big.json"],
+                    {"big.json": '{"states": ["0", "1"], "base": "0", "support": [0], '
+                                 f'"table": {{"1": "{NINES}"}}}}'}),
+}
+
+
+@pytest.mark.parametrize("entry", PAST_THE_DIGIT_LIMIT)
+def test_an_integer_past_the_digit_limit_is_a_schema_error_not_a_crash(capsys, monkeypatch,
+                                                                       tmp_path, entry):
+    argv, files = PAST_THE_DIGIT_LIMIT[entry]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"]["code"] == "schema"
+
+
+def test_the_library_refuses_integer_text_past_the_digit_limit():
+    for read in (parse_int, parse_rational, lambda text: parse_rational("1/" + text)):
+        with pytest.raises(errors.SchemaError):
+            read(NINES)
+    assert parse_rational("-" + "9" * 4000 + "/3") == -int("3" * 4000)
+
+
 EXCLUSION = builtin_interaction("exclusion")
 ETA = configuration(path_graph(3), EXCLUSION.states, 0, {0: 1})
 

@@ -124,6 +124,19 @@ def test_caps_are_checked_before_a_table_is_built(monkeypatch, build):
     assert time.perf_counter() - start < 1
 
 
+def test_assemble_refuses_a_support_over_the_cap_before_summing(monkeypatch):
+    components = {(0,): LocalFunction.from_entries(ST2, (0,), {(1,): 1})}
+    monkeypatch.delenv("LATTICECALC_CAPS", raising=False)
+    start = time.perf_counter()
+    with pytest.raises(errors.CapExceededError, match="^support of 22 sites exceeds cap 12$"):
+        assemble(components, range(22))
+    monkeypatch.setenv("LATTICECALC_CAPS", "max_support=22")
+    with pytest.raises(errors.CapExceededError,
+                       match=f"^table of {2 ** 22} entries exceeds cap {2 ** 20}$"):
+        assemble(components, range(22))
+    assert time.perf_counter() - start < 2
+
+
 def test_exact_support_rejects_base_mass():
     with pytest.raises(errors.SupportError):
         ExactSupportFunction(

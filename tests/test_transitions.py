@@ -244,6 +244,18 @@ def test_component_rejects_max_states_below_one(bad):
         component_bfs(EXCLUSION, eta, max_states=bad)
 
 
+def test_an_explicit_max_states_is_held_to_the_bfs_cap(monkeypatch):
+    eta = configuration(lattice_window(1, -3, 3), EXCLUSION.states, 0, {0: 1, 1: 1})
+    monkeypatch.setenv("LATTICECALC_CAPS", "max_bfs=5")
+    assert len(component_bfs(EXCLUSION, eta).configurations) == 5  # the cap is the default
+    assert len(component_bfs(EXCLUSION, eta, max_states=5).configurations) == 5
+    with pytest.raises(errors.CapExceededError, match="^a search of 6 states exceeds cap 5$"):
+        component_bfs(EXCLUSION, eta, max_states=6)
+    monkeypatch.setenv("LATTICECALC_CAPS", "max_bfs=0")
+    with pytest.raises(errors.CapExceededError, match="^a search of 1 states exceeds cap 0$"):
+        component_bfs(EXCLUSION, eta)
+
+
 def test_component_rejects_a_foreign_state_space():
     eta = configuration(G13, MS2.states, 0, {0: 1})
     with pytest.raises(errors.MismatchError):
