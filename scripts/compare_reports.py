@@ -7,7 +7,8 @@ included, runs once under each tree's ``src``.  So does a fixed list of
 calls: the parser's (the help of every subcommand, the version, flag errors,
 the dash-led or repeated values a command line may carry, and integers out of
 their range), two refusals of the cap rule, four ``--format table`` reports,
-and ``consv`` at every base of every builtin, not only at the declared one.
+three kernels at k = 2, whose rows come from two template offsets, and
+``consv`` at every base of every builtin, not only at the declared one.
 Stdout, stderr and exit status must be identical.  One line is printed per
 difference, and the exit status is 1 when there is any.
 
@@ -66,10 +67,18 @@ TABLE_CALLS = [
     ["h0", "--interaction", "exclusion", "--graph", "path:4"],
     ["kernel", "--interaction", "exclusion", "--radius", "1", "--window=-4:4"],
 ]
+# kernels at k = 2: the rows of both template offsets, mapped to window columns
+RANGE_TWO_CALLS = [
+    ["kernel", "--interaction", "multispecies:2", "--k", "2", "--radius", "1", "--window=-8:8"],
+    ["kernel", "--interaction", "two-species-ac", "--k", "2", "--radius", "1", "--window=-8:8",
+     "--base=-1"],
+    ["kernel", "--interaction", "exclusion", "--k", "2", "--radius", "2", "--window=-10:10"],
+]
 FIXED_CALLS = [
     *PARSER_CALLS,
     *CAP_CALLS,
     *([*argv, "--format", "table"] for argv in TABLE_CALLS),
+    *RANGE_TWO_CALLS,
     *(["consv", "--interaction", name, f"--base={label}"]
       for name in workloads.BUILTINS for label in oracles.interaction(name)[0]),
 ]

@@ -199,16 +199,17 @@ def _kernel_unknowns(phi: Interaction, radius: int, graph: SiteGraph, base: int)
 
 
 def _kernel_rows(phi: Interaction, radius: int, graph: SiteGraph, base: int, uid: dict):
-    """The rows of ``_template_rows`` at each inner edge (x, y), translated by
-    x into the columns of ``uid``: every candidate support through an inner
-    edge lies in the window, so its rows are those of the whole lattice."""
+    """The rows of ``_template_rows`` at each inner edge (x, y), mapped by
+    (λ, e) → ``uid[λ + x, e]``: every candidate support through an inner edge
+    lies in the window, so its rows are those of the whole lattice."""
     reach = graph.k * radius
     lo, hi = _inner_window(graph, radius)
-    templates = {j: list(_template_rows(phi, reach, j, base)) for j in range(1, graph.k + 1)}
+    templates = {j: _template_rows(phi, reach, j, base) for j in range(1, graph.k + 1)}
     for x, y in graph.unordered_edges():
         if lo <= x and y <= hi:
-            for row in templates[y - x]:
-                yield {uid[tuple(s + x for s in lam), e]: v for (lam, e), v in row.items()}
+            columns, rows = templates[y - x]
+            target = [uid[tuple(s + x for s in lam), e] for lam, e in columns]
+            yield from (linalg.remap(row, target) for row in rows)
 
 
 def _certify_basis(basis, uid: dict, reducer: linalg.RowReducer) -> None:

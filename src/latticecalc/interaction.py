@@ -5,8 +5,8 @@ states: an edge ((a, b), (c, d)) says that two neighboring sites holding
 (a, b) may move to (c, d).  A conserved quantity assigns a rational to each
 state so that the pair sum is constant along every edge; equivalently its
 pair sum is constant on the connected components of the pair graph.  Those
-are the radius-0 case of the lattice constraint rows ``_template_rows``, so
-the conserved quantities and the invariance kernel share one row generator.
+are the radius-0 case of the constraint rows ``_template_rows``; they and
+the invariance kernel each map its one column list to their own columns.
 """
 
 from __future__ import annotations
@@ -294,9 +294,10 @@ def _candidate_supports(a: int, b: int, reach: int) -> list[tuple[int, ...]]:
 
 
 def _template_rows(phi: Interaction, reach: int, j: int, base: int):
-    """Constraint rows at the edge (0, j) of the lattice, keyed by (support,
-    entry) relative to 0: one per unordered move there and admissible
-    pattern.  Their span is that of the rows of every configuration.
+    """``(columns, rows)``: the constraint rows at the edge (0, j) of the
+    lattice, one per unordered move there and admissible pattern, where column
+    c is the key ``columns[c]`` = (support, entry) relative to 0, numbered as
+    first seen.  Their span is that of the rows of every configuration.
 
     Fix the states at 0 and j and a move there.  The row of a configuration
     P sums, over candidate supports λ (span <= ``reach``) meeting {0, j}, a
@@ -320,14 +321,15 @@ def _template_rows(phi: Interaction, reach: int, j: int, base: int):
     """
     states = range(phi.states.n)
     nonbase = [s for s in states if s != base]
+    index, rows = {}, []
 
     def columns(config: dict, order, delta):
-        """Keys (λ, config|λ) of the candidate λ ⊆ nonbase(config) meeting delta."""
+        """Columns of (λ, config|λ), for candidate λ ⊆ nonbase(config) meeting delta."""
         sites = [s for s in order if config[s] != base]
         for r in range(1, len(sites) + 1):
             for lam in combinations(sites, r):
                 if lam[-1] - lam[0] <= reach and not delta.isdisjoint(lam):
-                    yield lam, tuple(config[s] for s in lam)
+                    yield index.setdefault((lam, tuple(config[s] for s in lam)), len(index))
 
     patterns = {
         tuple(s for s in lam if s != 0 and s != j)
@@ -346,26 +348,24 @@ def _template_rows(phi: Interaction, reach: int, j: int, base: int):
                 delta = {site for site, old, new in ((0, s, c), (j, t, d)) if old != new}
                 row = dict.fromkeys(columns(after, order, delta), 1)
                 row.update(dict.fromkeys(columns(pattern, order, delta), -1))
-                yield row
+                rows.append(row)
+    return list(index), rows
 
 
 def consv_basis(phi: Interaction, base: int) -> list[ConservedQuantity]:
     """Canonical basis of conserved quantities vanishing at the base state.
 
     A conserved quantity is the radius-0 case of the invariance kernel, so the
-    rows are the kernel's: the base row and ``_template_rows(phi, 0, 1, base)``,
-    each column (λ, e) folded onto its translation class, the state e[0], with
-    equal columns summed.  The basis is the reduced echelon form of their
-    nullspace over the declared state order: equal inputs give equal bases.
+    rows are the kernel's: the base row and ``_template_rows(phi, 0, 1, base)``
+    under one column map, (λ, e) onto its translation class, the state e[0].
+    The basis is the reduced echelon form of their nullspace over the
+    declared state order: equal inputs give equal bases.
     """
     n = phi.states.n
     require_int(base, "state index {} out of range", 0, n)
-    rows: list[dict[int, int]] = [{base: 1}]
-    for template in _template_rows(phi, 0, 1, base):
-        row: dict[int, int] = {}
-        for (_, (s,)), value in template.items():
-            row[s] = row.get(s, 0) + value
-        rows.append(row)
+    columns, templates = _template_rows(phi, 0, 1, base)
+    fold = [e[0] for _, e in columns]
+    rows = [{base: 1}, *(linalg.remap(row, fold) for row in templates)]
     return [
         ConservedQuantity(states=phi.states, values=vec, base_index=base)
         for vec in linalg.nullspace(rows, n)

@@ -39,6 +39,14 @@ Row = dict[int, int]
 _ZERO = Fraction(0)
 
 
+def remap(row: Row, target) -> Row:
+    """``row`` with column c at ``target[c]``: sums in first-seen order, zeros dropped."""
+    out: Row = {}
+    for c, v in row.items():
+        out[target[c]] = out.get(target[c], 0) + v
+    return {c: v for c, v in out.items() if v}
+
+
 def _primitive(row: dict[int, int | Fraction]) -> Row:
     """The primitive integer row on the line of an ``int``/``Fraction`` row."""
     den = lcm(*(v.denominator for v in row.values()))

@@ -225,8 +225,8 @@ def swap_path(
     schedule = hops + hops[-2::-1]
     out: list[Transition] = []
     cur = eta
-    for u, v in schedule:
-        su, sv = cur.state_at(u), cur.state_at(v)
+    for u, v in schedule:  # sites of the graph's own path: read without the public check
+        su, sv = cur._lookup.get(u, eta.base_index), cur._lookup.get(v, eta.base_index)
         if su == sv:
             continue
         for phi_edge in pair_exchange_path(phi, su, sv):

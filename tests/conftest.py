@@ -16,6 +16,7 @@ from latticecalc import (
     state_space,
 )
 from latticecalc.cohomology import _kernel_unknowns
+from latticecalc.interaction import _candidate_supports
 
 
 @pytest.fixture(scope="session")
@@ -131,3 +132,36 @@ def add_pair_component_to_kernel_basis(monkeypatch, graph, pair):
         return out
 
     monkeypatch.setattr(linalg, "rref_basis", tampered)
+
+
+def reference_template_rows(phi, reach, j, base):
+    """``interaction._template_rows`` as it was before its columns were
+    numbered: a generator of rows keyed by (support, entry) relative to 0."""
+    states = range(phi.states.n)
+    nonbase = [s for s in states if s != base]
+
+    def columns(config, order, delta):
+        sites = [s for s in order if config[s] != base]
+        for r in range(1, len(sites) + 1):
+            for lam in itertools.combinations(sites, r):
+                if lam[-1] - lam[0] <= reach and not delta.isdisjoint(lam):
+                    yield lam, tuple(config[s] for s in lam)
+
+    patterns = {
+        tuple(s for s in lam if s != 0 and s != j)
+        for lam in _candidate_supports(-reach, j + reach, reach)
+        if 0 in lam or j in lam
+    }
+    for sites in sorted(patterns, key=lambda sites: (len(sites), sites)):
+        order = sorted((*sites, 0, j))
+        for s, t, *values in itertools.product(states, states, *[nonbase] * len(sites)):
+            pattern = dict(zip(sites, values))
+            pattern[0], pattern[j] = s, t
+            for _, _, (c, d) in phi.edge_moves[(s, t)]:
+                if (c, d) <= (s, t):
+                    continue
+                after = {**pattern, 0: c, j: d}
+                delta = {site for site, old, new in ((0, s, c), (j, t, d)) if old != new}
+                row = dict.fromkeys(columns(after, order, delta), 1)
+                row.update(dict.fromkeys(columns(pattern, order, delta), -1))
+                yield row

@@ -57,7 +57,8 @@ from latticecalc.uniform import (
     xi_X,
 )
 
-from conftest import add_pair_component_to_kernel_basis, small_interactions
+from conftest import (add_pair_component_to_kernel_basis, reference_template_rows,
+                      small_interactions)
 
 EXCLUSION = builtin_interaction("exclusion")
 MS2 = builtin_interaction("multispecies:2")
@@ -1009,6 +1010,58 @@ def test_kernel_matches_the_former_routes_for_generated_interactions(phi, k, rad
     assert_kernel_matches_the_former_routes(
         phi, radius, smallest_window(k, radius), phi.states.base_index
     )
+
+
+# ---------------------------------------------------------------------------
+# the kernel rows against the keyed translation they replaced
+
+
+def keyed_translation(phi, radius, graph, base, uid):
+    """``_kernel_rows`` as it was: each dict-keyed template row re-keyed
+    entry by entry as ``{uid[λ + x, e]: v}`` at each inner edge (x, y)."""
+    reach = graph.k * radius
+    a, b = graph.window
+    lo, hi = a + reach, b - reach
+    templates = {j: list(reference_template_rows(phi, reach, j, base))
+                 for j in range(1, graph.k + 1)}
+    for x, y in graph.unordered_edges():
+        if lo <= x and y <= hi:
+            for row in templates[y - x]:
+                yield {uid[tuple(s + x for s in lam), e]: v for (lam, e), v in row.items()}
+
+
+def checked_row_count(phi, radius, graph, base):
+    """The number of kernel rows, after checking that the rows, each with its
+    items in order, are the keyed translation's."""
+    uid = {key: i for i, key in enumerate(_kernel_unknowns(phi, radius, graph, base))}
+    got = [list(row.items()) for row in _kernel_rows(phi, radius, graph, base, uid)]
+    assert got == [list(row.items())
+                   for row in keyed_translation(phi, radius, graph, base, uid)]
+    return len(got)
+
+
+@pytest.mark.parametrize(
+    "name,k,radius", ROUTE_CASES, ids=[f"{n}-k{k}r{r}" for n, k, r in ROUTE_CASES]
+)
+def test_kernel_rows_match_the_keyed_translation(name, k, radius):
+    phi = builtin_interaction(name)
+    for base in range(phi.states.n):
+        assert checked_row_count(phi, radius, smallest_window(k, radius), base)
+
+
+# at the declared base only: multispecies:3 takes seconds per base here
+@pytest.mark.parametrize(
+    "name", ["exclusion", "multispecies:2", "multispecies:3", "two-species-ac", "quastel2"]
+)
+def test_kernel_rows_match_the_keyed_translation_at_k2r2(name):
+    phi = builtin_interaction(name)
+    assert checked_row_count(phi, 2, smallest_window(2, 2), phi.states.base_index)
+
+
+@settings(max_examples=40, deadline=None)
+@given(phi=small_interactions(), k=st.integers(1, 2), radius=st.integers(0, 1))
+def test_kernel_rows_match_the_keyed_translation_for_generated_interactions(phi, k, radius):
+    checked_row_count(phi, radius, smallest_window(k, radius), phi.states.base_index)
 
 
 def test_one_state_interaction_has_an_empty_kernel():

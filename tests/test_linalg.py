@@ -28,10 +28,13 @@ from latticecalc.linalg import (
     nullspace,
     nullspace_of,
     rank,
+    remap,
     rref_basis,
 )
 from latticecalc.rationals import ensure_fraction, format_rational, parse_rational
 from latticecalc.sitegraph import cycle_graph, lattice_window, path_graph
+
+from conftest import reference_template_rows
 
 P61 = 2 ** 61 - 1  # a word-sized prime: its multiples vanish under mod-p elimination
 
@@ -259,6 +262,52 @@ def test_consv_rows_match_the_fraction_reference(monkeypatch, name):
     assert len(calls) == phi.states.n
     for rows, ncols in calls:
         assert_matches_reference(rows, ncols)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_consv_rows_match_the_per_row_fold(monkeypatch, name):
+    """``consv_basis`` feeds the base row, then each template row with every
+    column (λ, e) folded onto the state e[0], equal states summed in order of
+    first appearance and zero sums dropped."""
+    phi = builtin_interaction(name)
+    calls = recorded_calls(
+        monkeypatch, linalg, "nullspace",
+        lambda: [consv_basis(phi, base) for base in range(phi.states.n)],
+    )
+    assert len(calls) == phi.states.n
+    for base, (rows, ncols) in enumerate(calls):
+        folded = []
+        for template in reference_template_rows(phi, 0, 1, base):
+            row = {}
+            for (_, (s,)), value in template.items():
+                row[s] = row.get(s, 0) + value
+            folded.append({s: v for s, v in row.items() if v})
+        assert ncols == phi.states.n
+        assert [list(row.items()) for row in rows] == [
+            list(row.items()) for row in [{base: 1}, *folded]]
+
+
+def test_remap_sums_entries_with_equal_targets():
+    assert list(remap({0: 1, 1: 2, 2: 3}, [7, 4, 7]).items()) == [(7, 4), (4, 2)]
+
+
+def test_remap_drops_zero_sums():
+    assert list(remap({0: 1, 1: 2, 2: -1}, [7, 4, 7]).items()) == [(4, 2)]
+    assert remap({0: 1, 1: -1}, [3, 3]) == {}
+    assert remap({}, []) == {}
+
+
+def test_remap_keeps_targets_in_first_seen_order():
+    # 9 is seen first, so it leads though 2 < 9
+    assert list(remap({0: 1, 1: 1, 2: 1}, [9, 2, 9]).items()) == [(9, 2), (2, 1)]
+    # the row's own item order decides, not the order of its columns
+    assert list(remap({2: 1, 0: 1}, [5, 6, 7]).items()) == [(7, 1), (5, 1)]
+
+
+@given(st.dictionaries(st.integers(0, 9), st.integers(-3, 3).filter(bool)),
+       st.permutations(range(10)))
+def test_remap_through_a_one_to_one_target_only_relabels(row, target):
+    assert list(remap(row, target).items()) == [(target[c], v) for c, v in row.items()]
 
 
 def test_dense_pads_missing_columns():

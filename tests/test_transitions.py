@@ -18,7 +18,8 @@ from latticecalc.interaction import (
     make_interaction,
     state_space,
 )
-from latticecalc.sitegraph import cycle_graph, explicit_graph, lattice_window, path_graph
+from latticecalc.sitegraph import (cycle_graph, explicit_graph, lattice_window, path_graph,
+                                  shortest_path)
 from latticecalc.transitions import (
     ConfigCode,
     Transition,
@@ -637,6 +638,32 @@ def test_neighbors_check_no_vertex_beyond_the_transitions_own(monkeypatch, name)
     calls.clear()
     rebuilt = [Transition(phi, eta, tr.edge, tr.phi_edge) for tr in found]
     assert found and rebuilt == found
+    assert seen == len(calls)
+
+
+@pytest.mark.parametrize("name", ["exclusion", "two-species-ac"])
+def test_swap_path_checks_no_vertex_beyond_its_ends_and_transitions(monkeypatch, name):
+    """The states at each hop of the graph's own path are read without the
+    public vertex check: x and y are checked by the expected configuration
+    and ``shortest_path``, and each ``Transition`` still checks its source's
+    sites."""
+    phi, graph = builtin_interaction(name), lattice_window(1, 0, 40)
+    base = phi.states.base_index
+    nonbase = [s for s in range(phi.states.n) if s != base]
+    eta = configuration(graph, phi.states, base, {5: nonbase[0], 12: nonbase[-1]})
+    calls = []
+    check = type(graph).require_vertex
+    monkeypatch.setattr(type(graph), "require_vertex",
+                        lambda self, *sites: calls.append(sites) or check(self, *sites))
+    path = swap_path(phi, eta, 5, 20)
+    seen = len(calls)
+    calls.clear()
+    expected = eta.with_sites({5: eta.state_at(20), 20: eta.state_at(5)})
+    shortest_path(graph, 5, 20)
+    cur = eta
+    for tr in path:
+        cur = Transition(phi, cur, tr.edge, tr.phi_edge).after
+    assert path and cur == expected
     assert seen == len(calls)
 
 
