@@ -7,8 +7,9 @@ included, runs once under each tree's ``src``.  So does a fixed list of
 calls: the parser's (the help of every subcommand, the version, flag errors,
 the dash-led or repeated values a command line may carry, and integers out of
 their range), two refusals of the cap rule, four ``--format table`` reports,
-three kernels at k = 2, whose rows come from two template offsets, and
-``consv`` at every base of every builtin, not only at the declared one.
+three kernels at k = 2, whose rows come from two template offsets, a kernel
+at R = 2 whose elimination meets pivot entries other than 1, and ``consv``
+at every base of every builtin, not only at the declared one.
 Stdout, stderr and exit status must be identical.  One line is printed per
 difference, and the exit status is 1 when there is any.
 
@@ -74,11 +75,16 @@ RANGE_TWO_CALLS = [
      "--base=-1"],
     ["kernel", "--interaction", "exclusion", "--k", "2", "--radius", "2", "--window=-10:10"],
 ]
+# a kernel eliminating against pivot entries other than 1; its basis has 1/2 entries
+NON_UNIT_PIVOT_CALLS = [
+    ["kernel", "--interaction", "two-species-ac", "--radius", "2", "--window=-10:10", "--base=1"],
+]
 FIXED_CALLS = [
     *PARSER_CALLS,
     *CAP_CALLS,
     *([*argv, "--format", "table"] for argv in TABLE_CALLS),
     *RANGE_TWO_CALLS,
+    *NON_UNIT_PIVOT_CALLS,
     *(["consv", "--interaction", name, f"--base={label}"]
       for name in workloads.BUILTINS for label in oracles.interaction(name)[0]),
 ]

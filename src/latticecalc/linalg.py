@@ -2,8 +2,8 @@
 
 Rows are sparse ``{column: value}`` maps.  Every constraint system in this
 package has integer rows (incidence rows for ``h0``, ±1 transition rows for
-the invariance kernel, small pair-sum rows for ``consv``), so elimination
-works on integers only, and ``RowReducer.add`` takes integer rows.
+the invariance kernel, small pair-sum rows for ``consv``), so
+``RowReducer.add``, the one elimination step, takes and keeps integer rows.
 ``echelon`` and the entry points built on it (``rank``, ``nullspace``,
 ``rref_basis``) also accept rows with ``Fraction`` values: each row is
 scaled there to the primitive integer row on the same line (denominators
@@ -12,7 +12,8 @@ cleared, common factor divided out), which spans the same space.
 Elimination is fraction-free, as in Bareiss (1968) but with gcd
 cancellation in place of exact division.  A remainder with entry ``r`` in
 the column of a pivot row with pivot entry ``p`` becomes
-``(p/g)·rem − (r/g)·pivot`` with ``g = gcd(p, r)``, and a row that is kept
+``(p/g)·rem − (r/g)·pivot`` with ``g = gcd(p, r)``, or ``rem − r·pivot``
+when ``p`` is 1, as for every ``h0`` star row; a row that is kept
 is divided by its content and signed so its pivot entry is positive.  Each
 integer remainder is a nonzero multiple of the remainder the same steps give
 over the rationals, so ranks, pivot columns and fill are those of rational
@@ -26,7 +27,8 @@ construction and needs neither.
 Elimination always pivots on the smallest column of a row, so ranks, reduced
 echelon forms and nullspace bases are deterministic.  Results leave as the
 canonical reduced echelon form over the rationals (pivot entries 1), built
-by integer back-substitution over the pivot rows and one division per entry.
+by back-substitution over ``Fraction``: each pivot row is divided by its
+pivot entry once and cleared with the reduced rows of larger pivot.
 """
 
 from __future__ import annotations
@@ -54,24 +56,6 @@ def _primitive(row: dict[int, int | Fraction]) -> Row:
     return _normalized(ints, min(ints)) if ints else ints
 
 
-def _eliminate(rem: Row, pivot: Row, col: int) -> Row:
-    """``rem`` times a positive integer, minus the multiple of ``pivot`` that
-    clears its ``col`` entry.  ``rem`` itself may be modified."""
-    p, factor = pivot[col], rem[col]
-    g = gcd(p, factor)
-    if p != g:
-        scale = p // g
-        rem = {c: v * scale for c, v in rem.items()}
-    factor //= g
-    for c, v in pivot.items():
-        new = rem.get(c, 0) - factor * v
-        if new:
-            rem[c] = new
-        else:
-            rem.pop(c, None)
-    return rem
-
-
 def _normalized(row: Row, col: int) -> Row:
     """``row`` divided by its content, with a positive entry at ``col``."""
     content = gcd(*row.values())
@@ -96,44 +80,53 @@ class RowReducer:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def reduce(self, row: Row) -> Row:
-        """A nonzero multiple of the remainder of the integer ``row`` after
-        elimination against the rows seen so far; empty when it is in their span."""
+    def add(self, row: Row) -> bool:
+        """Insert an integer row; True when it enlarged the span.  Steps with
+        a pivot entry of 1 need no gcd, and the remainder kept is stored as
+        the primitive row with a positive pivot entry."""
         rem = {c: v for c, v in row.items() if v}
         while rem:
             col = min(rem)
             pivot = self.pivot_rows.get(col)
+            factor = rem[col]
             if pivot is None:
-                return rem
-            rem = _eliminate(rem, pivot, col)
-        return rem
-
-    def add(self, row: Row) -> bool:
-        """Insert an integer row; True when it enlarged the span.  The pivot
-        row kept is primitive whatever the row's content."""
-        rem = self.reduce(row)
-        if not rem:
-            return False
-        col = min(rem)
-        self.pivot_rows[col] = _normalized(rem, col)
-        return True
+                if factor == -1:
+                    rem = {c: -v for c, v in rem.items()}
+                elif factor != 1:
+                    rem = _normalized(rem, col)
+                self.pivot_rows[col] = rem
+                return True
+            p = pivot[col]
+            if p != 1:
+                g = gcd(p, factor)
+                scale, factor = p // g, factor // g
+                for c in rem:
+                    rem[c] *= scale
+            for c, v in pivot.items():
+                new = rem.get(c, 0) - factor * v
+                if new:
+                    rem[c] = new
+                else:
+                    del rem[c]
+        return False
 
     def rref_rows(self) -> list[dict[int, Fraction]]:
-        """Back-eliminated pivot rows sorted by pivot column (canonical RREF)."""
-        out: dict[int, Row] = {}
+        """The canonical RREF, sorted by pivot column: each pivot row divided
+        by its pivot entry, then cleared with the returned rows of larger pivot."""
+        out: dict[int, dict[int, Fraction]] = {}
         for col in sorted(self.pivot_rows, reverse=True):
             row = self.pivot_rows[col]
-            later = [c for c in row if c != col and c in out]
-            if later:
-                row = dict(row)
-                for c in later:
-                    row = _eliminate(row, out[c], c)
-                row = _normalized(row, col)
-            out[col] = row
-        return [
-            {c: Fraction(v, row[col]) for c, v in row.items()}
-            for col, row in sorted(out.items())
-        ]
+            rref = {c: Fraction(v, row[col]) for c, v in row.items()}
+            for c in [c for c in row if c in out]:
+                factor = rref[c]
+                for d, v in out[c].items():
+                    new = rref.get(d, 0) - factor * v
+                    if new:
+                        rref[d] = new
+                    else:
+                        del rref[d]
+            out[col] = rref
+        return [out[col] for col in sorted(out)]
 
 
 def echelon(rows) -> RowReducer:

@@ -165,3 +165,22 @@ def reference_template_rows(phi, reach, j, base):
                 row = dict.fromkeys(columns(after, order, delta), 1)
                 row.update(dict.fromkeys(columns(pattern, order, delta), -1))
                 yield row
+
+
+class CountingPivots(dict):
+    """Pivot rows that count the lookups finding a row, one per elimination
+    step, and those among them whose pivot entry is not 1.  Past ``limit``
+    steps a lookup fails, so a loop that stops making progress fails instead
+    of hanging."""
+
+    def __init__(self, rows=(), limit=None):
+        super().__init__(rows)
+        self.hits, self.non_unit, self.limit = 0, 0, limit
+
+    def get(self, col, default=None):
+        row = super().get(col, default)
+        if row is not None:
+            self.hits += 1
+            self.non_unit += row[col] != 1
+            assert self.limit is None or self.hits <= self.limit, "too many steps"
+        return row

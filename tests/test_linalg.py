@@ -1,10 +1,14 @@
-"""Exact elimination: sympy oracles, and the integer core against the
-rational reducer it replaced.
+"""Exact elimination: sympy oracles, and the integer core against the two
+reducers it replaced, each kept verbatim as a reference.
 
-``FractionRowReducer`` is that rational reducer, kept verbatim as the
-reference: the integer ``RowReducer`` must reproduce its ranks, ``add``
-results, pivot columns, fill, canonical reduced echelon forms and nullspace
-bases exactly, on generated rows and on the row sets the package builds.
+``FractionRowReducer`` is the rational reducer: the integer ``RowReducer``
+must reproduce its ranks, ``add`` results, pivot columns, fill, canonical
+reduced echelon forms and nullspace bases exactly.  ``SteppedRowReducer`` is
+the integer reducer whose step was a separate function, shared by ``reduce``
+and an integer back-substitution: the single-loop ``RowReducer`` must give
+the same ``add`` results, ranks, elimination step counts, pivot rows (items
+in order) and reduced echelon forms.  Both hold on generated rows and on the
+row sets the package builds.
 """
 
 from fractions import Fraction
@@ -34,7 +38,7 @@ from latticecalc.linalg import (
 from latticecalc.rationals import ensure_fraction, format_rational, parse_rational
 from latticecalc.sitegraph import cycle_graph, lattice_window, path_graph
 
-from conftest import reference_template_rows
+from conftest import CountingPivots, reference_template_rows
 
 P61 = 2 ** 61 - 1  # a word-sized prime: its multiples vanish under mod-p elimination
 
@@ -91,6 +95,102 @@ class FractionRowReducer:
                     else:
                         row.pop(c, None)
         return [out[c] for c in cols]
+
+
+def _eliminate(rem, pivot, col):
+    """``rem`` times a positive integer, minus the multiple of ``pivot`` that
+    clears its ``col`` entry.  ``rem`` itself may be modified."""
+    p, factor = pivot[col], rem[col]
+    g = gcd(p, factor)
+    if p != g:
+        scale = p // g
+        rem = {c: v * scale for c, v in rem.items()}
+    factor //= g
+    for c, v in pivot.items():
+        new = rem.get(c, 0) - factor * v
+        if new:
+            rem[c] = new
+        else:
+            rem.pop(c, None)
+    return rem
+
+
+def _normalized(row, col):
+    """``row`` divided by its content, with a positive entry at ``col``."""
+    content = gcd(*row.values())
+    if row[col] < 0:
+        content = -content
+    if content == 1:
+        return row
+    return {c: v // content for c, v in row.items()}
+
+
+class SteppedRowReducer:
+    """Integer echelon form with the step in ``_eliminate`` (the reference)."""
+
+    def __init__(self) -> None:
+        self.pivot_rows = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows)
+
+    def reduce(self, row):
+        """A nonzero multiple of the remainder of the integer ``row`` after
+        elimination against the rows seen so far; empty when it is in their span."""
+        rem = {c: v for c, v in row.items() if v}
+        while rem:
+            col = min(rem)
+            pivot = self.pivot_rows.get(col)
+            if pivot is None:
+                return rem
+            rem = _eliminate(rem, pivot, col)
+        return rem
+
+    def add(self, row) -> bool:
+        """Insert an integer row; True when it enlarged the span.  The pivot
+        row kept is primitive whatever the row's content."""
+        rem = self.reduce(row)
+        if not rem:
+            return False
+        col = min(rem)
+        self.pivot_rows[col] = _normalized(rem, col)
+        return True
+
+    def rref_rows(self):
+        """Back-eliminated pivot rows sorted by pivot column (canonical RREF)."""
+        out = {}
+        for col in sorted(self.pivot_rows, reverse=True):
+            row = self.pivot_rows[col]
+            later = [c for c in row if c != col and c in out]
+            if later:
+                row = dict(row)
+                for c in later:
+                    row = _eliminate(row, out[c], c)
+                row = _normalized(row, col)
+            out[col] = row
+        return [
+            {c: Fraction(v, row[col]) for c, v in row.items()}
+            for col, row in sorted(out.items())
+        ]
+
+
+def assert_matches_stepped(rows):
+    """The single loop answers ``rows`` as the stepped reducer does, step for
+    step; it fails rather than hangs past the reference's step count."""
+    ref = SteppedRowReducer()
+    ref.pivot_rows = CountingPivots()
+    kept = [ref.add(row) for row in rows]
+    mine = RowReducer()
+    mine.pivot_rows = CountingPivots(limit=ref.pivot_rows.hits)
+    assert [mine.add(row) for row in rows] == kept
+    assert mine.pivot_rows.hits == ref.pivot_rows.hits
+    assert mine.rank == ref.rank
+    assert [(c, list(r.items())) for c, r in mine.pivot_rows.items()] == [
+        (c, list(r.items())) for c, r in ref.pivot_rows.items()]
+    assert [list(r.items()) for r in mine.rref_rows()] == [
+        list(r.items()) for r in ref.rref_rows()]
+    return mine.pivot_rows
 
 
 def reference_nullspace(reducer: FractionRowReducer, ncols: int):
@@ -206,6 +306,15 @@ def test_integer_core_matches_the_fraction_reference(rows):
     assert_matches_reference(rows, 6)
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-5, 5), max_size=6),
+                max_size=8))
+@example([{0: 2, 1: 1}, {0: 3, 2: 1}, {0: 1, 1: 1, 2: 1}])
+@example([{0: -1, 1: 2}, {1: 4, 2: -6}, {0: 5, 2: 3}])
+def test_single_loop_matches_the_stepped_reducer(rows):
+    assert_matches_stepped(rows)
+
+
 def recorded_calls(monkeypatch, target, attr, run):
     """The arguments of every call of ``target.attr`` made by ``run()``."""
     original = getattr(target, attr)
@@ -229,6 +338,41 @@ def test_h0_rows_match_the_fraction_reference(monkeypatch, name, make_graph):
     )
     assert calls
     assert_matches_reference([row for _, row in calls], phi.states.n ** 5)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("make_graph", [path_graph, cycle_graph], ids=["path", "cycle"])
+def test_h0_rows_match_the_stepped_reducer(monkeypatch, name, make_graph):
+    phi, graph = builtin_interaction(name), make_graph(6)
+    calls = recorded_calls(
+        monkeypatch, RowReducer, "add", lambda: h0_h1_finite(phi, graph)
+    )
+    monkeypatch.undo()
+    assert calls
+    assert_matches_stepped([row for _, row in calls])
+
+
+STEPPED_KERNEL_CASES = [
+    (name, k, radius) for name in BUILTINS for k, radius in [(1, 1), (1, 2), (2, 1)]
+]
+
+
+@pytest.mark.parametrize(
+    "name,k,radius", STEPPED_KERNEL_CASES,
+    ids=[f"{n}-k{k}r{r}" for n, k, r in STEPPED_KERNEL_CASES],
+)
+def test_kernel_rows_match_the_stepped_reducer(name, k, radius):
+    """At every base, on the smallest window the kernel takes; only
+    ``two-species-ac`` eliminates against pivot entries other than 1."""
+    phi = builtin_interaction(name)
+    graph = lattice_window(k, -2 * (radius + 1), 2 * (radius + 1))
+    non_unit = 0
+    for base in range(phi.states.n):
+        unknowns = _kernel_unknowns(phi, radius, graph, base)
+        uid = {key: i for i, key in enumerate(unknowns)}
+        rows = list(_kernel_rows(phi, radius, graph, base, uid))
+        non_unit += assert_matches_stepped(rows).non_unit
+    assert (non_unit > 0) == (name == "two-species-ac")
 
 
 @pytest.mark.parametrize(
@@ -262,6 +406,18 @@ def test_consv_rows_match_the_fraction_reference(monkeypatch, name):
     assert len(calls) == phi.states.n
     for rows, ncols in calls:
         assert_matches_reference(rows, ncols)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_consv_rows_match_the_stepped_reducer(monkeypatch, name):
+    phi = builtin_interaction(name)
+    calls = []  # recorded only: a faulty reducer fails below instead of hanging here
+    monkeypatch.setattr(linalg, "nullspace", lambda rows, n: calls.append(rows) or [])
+    for base in range(phi.states.n):
+        consv_basis(phi, base)
+    assert len(calls) == phi.states.n
+    for rows in calls:
+        assert_matches_stepped([linalg._primitive(row) for row in rows])
 
 
 @pytest.mark.parametrize("name", BUILTINS)
