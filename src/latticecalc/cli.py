@@ -8,16 +8,21 @@ transition as a JSON line ahead of the report once the work is done.
 ``--format table`` renders the same payload as indented text instead.
 
 ``COMMANDS`` lists each subcommand's handler, help text and flags.  A
-handler ``cmd_x(args, inputs)`` reads its inputs, each loader recording a
-digest in ``inputs``, and returns its outputs, its checks and, for
-``component`` and ``swap-path``, its lines; ``main`` alone hands them to
-``_emit``, which takes the report's command and ``params`` from the call.
+handler ``cmd_x(args, inputs)`` reads each input file through ``_read_json``,
+which records its digest in ``inputs``, and returns its outputs, its
+checks as ``(name, passed)`` pairs and, for ``component`` and ``swap-path``,
+its lines.  ``main`` alone decides how a call ends: a failed check is a
+``VerificationError`` naming it, raised before anything is written, and
+otherwise ``_emit`` writes the report, whose command and ``params`` come
+from the call and whose checks all read ``pass``.  A check the library
+enforces itself (``h0``, ``kernel``, ``extract``) raises there, so its
+handler lists it as passed.
 ``read_argv`` reads a well-formed call straight from it; help, ``--version``
 and every malformed call go to the argparse parser ``build_parser`` makes
 from the same table, so their texts are argparse's own.
 
 Failures print one JSON line with an ``error.code``; schema and I/O problems
-exit with status 1, domain violations with status 2.
+exit with status 1, domain violations and failed checks with status 2.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .cohomology import (
     h0_h1_finite,
     invariance_kernel,
 )
-from .errors import LatticeCalcError, MismatchError, SchemaError
+from .errors import LatticeCalcError, MismatchError, SchemaError, VerificationError
 from .interaction import (
     Interaction,
     builtin_interaction,
@@ -100,17 +105,25 @@ def _digest(raw: bytes) -> str:
     return "sha256:" + sha256(raw).hexdigest()
 
 
-def _read_json(path: str):
+def _decode(raw, what: str):
+    """The package's one JSON decoder, every integer read by ``parse_int``.
+    Text that is not JSON, bytes that are not UTF-8, and nesting past the
+    interpreter's recursion limit are a ``SchemaError`` naming ``what``."""
+    try:
+        return json.loads(raw, parse_int=parse_int)  # the one text-to-integer reader
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError too
+        raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _read_json(path: str, inputs: dict, role: str):
+    """The document in file ``path``, its digest recorded as ``inputs[role]``."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw, parse_int=parse_int)  # the one text-to-integer reader
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-    return doc, _digest(raw)
+    inputs[role] = _digest(raw)
+    return _decode(raw, path)
 
 
 def _interaction_arg(token: str, inputs: dict) -> Interaction:
@@ -123,9 +136,7 @@ def _interaction_arg(token: str, inputs: dict) -> Interaction:
     else:
         inputs["interaction"] = "builtin:" + token
         return phi
-    doc, digest = _read_json(token)
-    inputs["interaction"] = digest
-    return load_interaction(doc)
+    return load_interaction(_read_json(token, inputs, "interaction"))
 
 
 def _graph_arg(token: str, inputs: dict) -> SiteGraph:
@@ -137,17 +148,14 @@ def _graph_arg(token: str, inputs: dict) -> SiteGraph:
             raise SchemaError(bad)
         inputs["graph"] = "shorthand:" + token
         return build(*(parse_int(field, bad) for field in rest.split(":")))
-    doc, digest = _read_json(token)
-    inputs["graph"] = digest
-    return load_graph(doc)
+    return load_graph(_read_json(token, inputs, "graph"))
 
 
 def _function_file(path: str, inputs: dict, graph_arg: str | None = None, states=None):
     """Load a uniform-function file with embedded states (and usually graph),
     over ``states`` if given: the labels must agree, the base may differ.  An
     embedded graph is read whenever it is present; ``graph_arg`` wins."""
-    doc, digest = _read_json(path)
-    inputs["function"] = digest
+    doc = _read_json(path, inputs, "function")
     parse_object(doc, f"function file {path}", ("states", "base"))
     own = load_states(doc)
     del doc["states"]
@@ -169,9 +177,7 @@ def _function_doc(fn) -> dict:
 
 
 def _config_file(path: str, states, graph, inputs: dict, role: str, base=None):
-    doc, digest = _read_json(path)
-    inputs[role] = digest
-    return load_configuration(doc, states, graph, base)
+    return load_configuration(_read_json(path, inputs, role), states, graph, base)
 
 
 def _base_index(states, label: str | None) -> int:
@@ -202,8 +208,9 @@ def _table_row(doc) -> str:
     return f"{x}~{y}: {','.join(doc['from'])} -> {','.join(doc['to'])}"
 
 
-def _emit(args, inputs, outputs, verification, lines=()) -> int:
-    """Report ``args.command``; its params: the required flags and a given ``--max-states``."""
+def _emit(args, inputs, outputs, checks, lines=()) -> int:
+    """Report ``args.command``, whose ``checks`` have all passed; its params:
+    the required flags and a given ``--max-states``."""
     params = {}
     for flag, keywords in COMMANDS[args.command][2].items():
         value = getattr(args, _dest(flag, keywords))
@@ -215,7 +222,7 @@ def _emit(args, inputs, outputs, verification, lines=()) -> int:
         "outputs": outputs,
         "params": params,
         "tool": "latticecalc",
-        "verification": [list(item) for item in verification],
+        "verification": [[name, "pass"] for name, _ in checks],
         "version": __version__,
     }
     render = _table_row if args.format == "table" else _dumps
@@ -224,8 +231,7 @@ def _emit(args, inputs, outputs, verification, lines=()) -> int:
     rows = [rendered[id(doc)] for doc in lines]
     if args.format == "table":
         _table_lines("", outputs, rows)
-        for name, status in verification:
-            rows.append(f"check {name}: {status}")
+        rows += [f"check {name}: pass" for name, _ in checks]
         text = "\n".join(rows) + "\n"
     else:
         text = "".join(row + "\n" for row in rows) + _dumps(report) + "\n"
@@ -252,34 +258,33 @@ def cmd_consv(args, inputs):
     phi = _interaction_arg(args.interaction, inputs)
     base = _base_index(phi.states, args.base)
     basis = consv_basis(phi, base)
-    constant = all(xi.pair_sum_constant(phi) for xi in basis)
     outputs = {
         "base": phi.states.labels[base],
         "dimension": len(basis),
         "basis": [xi.to_document() for xi in basis],
     }
-    return outputs, [("pair-sum-constant", "pass" if constant else "fail")]
+    return outputs, [("pair-sum-constant", all(xi.pair_sum_constant(phi) for xi in basis))]
 
 
 def cmd_exchangeable(args, inputs):
     phi = _interaction_arg(args.interaction, inputs)
     answer = is_exchangeable(phi)
-    verification = []
-    if answer:
+    checks = []
+    if answer:  # each path is a chain of interaction edges from (a, b) to (b, a)
         realized = True
         for a in range(phi.states.n):
             for b in range(phi.states.n):
                 cur = (a, b)
-                for src, dst in pair_exchange_path(phi, a, b):
-                    realized &= cur == src
-                    cur = dst
+                for step in pair_exchange_path(phi, a, b):
+                    realized &= step in phi.edges and cur == step[0]
+                    cur = step[1]
                 realized &= cur == (b, a)
-        verification.append(("pair-path-realized", "pass" if realized else "fail"))
-    return {"exchangeable": answer}, verification
+        checks.append(("pair-path-realized", realized))
+    return {"exchangeable": answer}, checks
 
 
 def cmd_expand(args, inputs):
-    doc, inputs["function"] = _read_json(args.function)
+    doc = _read_json(args.function, inputs, "function")
     parse_object(doc, f"function file {args.function}", ("states",))
     states = load_states(doc)
     fn = load_local_function({k: v for k, v in doc.items() if k not in ("states", "base")}, states)
@@ -287,21 +292,18 @@ def cmd_expand(args, inputs):
     comps = expand(fn, base)
     rebuilt = assemble(comps, fn.support, states)
     exact = all(is_exact_support(c, base) for k, c in comps.items() if k)
-    verification = [("reassemble", "pass" if rebuilt == fn else "fail"),
-                    ("exact-support", "pass" if exact else "fail")]
     outputs = {
         "base": states.labels[base],
         "components": component_list_to_document(comps),
     }
-    return outputs, verification
+    return outputs, [("reassemble", rebuilt == fn), ("exact-support", exact)]
 
 
 def cmd_rebase(args, inputs):
     fn, states, _ = _function_file(args.function, inputs, args.graph)
     moved = rebase(fn, states.index(args.base))
     back = rebase(moved, fn.base_index)
-    verification = [("involution", "pass" if families_equal(back, fn) else "fail")]
-    return {"function": _function_doc(moved)}, verification
+    return {"function": _function_doc(moved)}, [("involution", families_equal(back, fn))]
 
 
 def cmd_diff(args, inputs):
@@ -310,8 +312,7 @@ def cmd_diff(args, inputs):
     after = _config_file(args.to_config, states, graph, inputs, "to", fn.base_index)
     value = difference(fn, before, after)
     direct = evaluate(fn, after) - evaluate(fn, before)
-    verification = [("evaluation-consistent", "pass" if direct == value else "fail")]
-    return {"value": format_rational(value)}, verification
+    return {"value": format_rational(value)}, [("evaluation-consistent", direct == value)]
 
 
 def cmd_neighbors(args, inputs):
@@ -319,7 +320,7 @@ def cmd_neighbors(args, inputs):
     found = neighbors(phi, eta)
     docs = [tr.to_document() for tr in found]
     ok = all(transition_from_document(doc, phi, tr.before) == tr for doc, tr in zip(docs, found))
-    return {"count": len(found), "transitions": docs}, [("round-trip", "pass" if ok else "fail")]
+    return {"count": len(found), "transitions": docs}, [("round-trip", ok)]
 
 
 def cmd_component(args, inputs):
@@ -328,7 +329,8 @@ def cmd_component(args, inputs):
     keys = [(edge, phi_edge) for _, edge, phi_edge, _ in result.steps]
     docs = {key: transition_document(*key, phi.states.labels) for key in dict.fromkeys(keys)}
     # each distinct line is read back once from its bytes, each step checked
-    moves = {key: result.codes.read(json.loads(_dumps(doc))) for key, doc in docs.items()}
+    read_back = _decode(_dumps(list(docs.values())), "the transition lines")
+    moves = {key: result.codes.read(doc) for key, doc in zip(docs, read_back)}
     try:
         ok = all(
             result.codes.apply(moves[key], before) == after
@@ -341,7 +343,7 @@ def cmd_component(args, inputs):
         "transitions": len(keys),
         "truncated": result.truncated,
     }
-    return outputs, [("round-trip", "pass" if ok else "fail")], [docs[key] for key in keys]
+    return outputs, [("round-trip", ok)], [docs[key] for key in keys]
 
 
 def cmd_swap_path(args, inputs):
@@ -353,12 +355,11 @@ def cmd_swap_path(args, inputs):
     for doc in docs:
         cur = transition_from_document(doc, phi, cur).after
     swapped = eta.with_sites({x: eta.state_at(y), y: eta.state_at(x)})
-    verification = [("endpoint-swap", "pass" if cur == swapped else "fail")]
     outputs = {
         "steps": len(docs),
         "endpoint": configuration_to_document(cur),
     }
-    return outputs, verification, docs
+    return outputs, [("endpoint-swap", cur == swapped)], docs
 
 
 def cmd_invariant(args, inputs):
@@ -383,7 +384,6 @@ def cmd_invariant(args, inputs):
 def cmd_h0(args, inputs):
     phi = _interaction_arg(args.interaction, inputs)
     summary = h0_h1_finite(phi, _graph_arg(args.graph, inputs))
-    # h0_h1_finite raises VerificationError unless h0 is also the component count
     outputs = {
         "dim_c0": summary.dim_c0,
         "dim_c1": summary.dim_c1,
@@ -391,7 +391,7 @@ def cmd_h0(args, inputs):
         "h0": summary.h0,
         "h1": summary.h1,
     }
-    return outputs, [("rank-nullity", "pass")]
+    return outputs, [("rank-nullity", True)]
 
 
 def cmd_extract(args, inputs):
@@ -405,17 +405,12 @@ def cmd_extract(args, inputs):
     elif result.outcome == NOT_CONSERVED_PAIR:
         (a, b), (c, d) = result.witness
         witness = [[labels[a], labels[b]], [labels[c], labels[d]]]
-    verification = []
-    if result.outcome == CONSERVED:
-        # extract_conserved raises VerificationError unless fn equals the
-        # site-wise sum of xi, so a conserved outcome has passed this check
-        verification.append(("sitewise-sum-matches", "pass"))
     outputs = {
         "outcome": result.outcome,
         "xi": result.xi.to_document() if result.xi else None,
         "witness": witness,
     }
-    return outputs, verification
+    return outputs, [("sitewise-sum-matches", True)] if result.outcome == CONSERVED else []
 
 
 def cmd_kernel(args, inputs):
@@ -446,8 +441,7 @@ def cmd_kernel(args, inputs):
         "dimension": report.dimension,
         "basis": [uniform_to_document(fn) for fn in report.basis],
     }
-    # invariance_kernel raises VerificationError unless this check passes
-    return outputs, [("basis-annihilates-all-rows", "pass")]
+    return outputs, [("basis-annihilates-all-rows", True)]
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +569,11 @@ def main(argv=None) -> int:
     try:
         args = read_argv(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
         inputs: dict = {}
-        return _emit(args, inputs, *args.func(args, inputs))
+        outputs, checks, *lines = args.func(args, inputs)
+        for name, passed in checks:
+            if not passed:
+                raise VerificationError(f"check {name} failed")
+        return _emit(args, inputs, outputs, checks, *lines)
     except LatticeCalcError as exc:
         line = _dumps({"error": {"code": exc.code, "message": str(exc)}})
         sys.stderr.write(line + "\n")

@@ -5,12 +5,14 @@ and fail with machine-parsable one-line errors on the right exit status.
 """
 
 import hashlib
+import itertools
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from latticecalc import __version__, cohomology, linalg
+from latticecalc import __version__, cli, cohomology, linalg
 from latticecalc.cli import _COMMON, COMMANDS, _dumps, main
 from latticecalc.interaction import builtin_interaction, state_space
 from latticecalc.sitegraph import cycle_graph, lattice_window, load_graph
@@ -27,7 +29,7 @@ from latticecalc.uniform import (
     load_uniform,
     xi_X,
 )
-from latticecalc.interaction import consv_basis
+from latticecalc.interaction import ConservedQuantity, consv_basis
 
 from conftest import add_pair_component_to_kernel_basis
 
@@ -66,6 +68,15 @@ def run(capsys, *argv):
 
 def last_report(out: str) -> dict:
     return json.loads(out.strip().splitlines()[-1])
+
+
+def assert_check_failed(result, check):
+    """A failed check ends the call: exit 2, no report, and one
+    ``verification-failed`` line naming the check."""
+    code, out, err = result
+    assert (code, out) == (2, "")
+    assert err == _dumps({"error": {"code": "verification-failed",
+                                    "message": f"check {check} failed"}}) + "\n"
 
 
 def test_consv_reports_standard_basis(capsys):
@@ -180,14 +191,13 @@ def test_truncated_component_streams_lines_that_replay(capsys, workdir):
 
 def test_component_round_trip_fails_when_a_replay_disagrees(capsys, workdir, monkeypatch):
     monkeypatch.setattr(ConfigCode, "apply", lambda self, move, code: -1)
-    code, out, _ = run(
+    result = run(
         capsys, "component",
         "--interaction", "exclusion",
         "--graph", "lattice:1:-2:2",
         "--config", str(workdir / "one.json"),
     )
-    assert code == 0
-    assert last_report(out)["verification"] == [["round-trip", "fail"]]
+    assert_check_failed(result, "round-trip")
 
 
 def corrupt_step(result, which, how):
@@ -224,14 +234,13 @@ def test_component_round_trip_fails_on_one_bad_step(
         "latticecalc.cli.component_bfs",
         lambda *a, **kw: corrupt_step(component_bfs(*a, **kw), which, how),
     )
-    code, out, _ = run(
+    result = run(
         capsys, "component",
         "--interaction", "exclusion",
         "--graph", "lattice:1:-2:4",
         "--config", str(workdir / "etaA.json"),
     )
-    assert code == 0
-    assert last_report(out)["verification"] == [["round-trip", "fail"]]
+    assert_check_failed(result, "round-trip")
 
 
 # stdout digests recorded before the search kept its results as codes
@@ -882,6 +891,49 @@ def test_kernel_basis_that_breaks_a_row_fails_verification(capsys, monkeypatch):
     )
     assert code == 2 and not out
     assert json.loads(err)["error"]["code"] == "verification-failed"
+
+
+SYSTEM = ["--interaction", "exclusion", "--graph", "lattice:1:-6:6", "--config", "one.json"]
+# each check a handler computes, made to disagree by replacing its second route
+FORCED_DISAGREEMENTS = {
+    "consv": ((ConservedQuantity, "pair_sum_constant"), lambda self, phi: False,
+              ["consv", "--interaction", "exclusion"], "pair-sum-constant"),
+    # a chain from (a, b) to (b, a) whose steps are not exclusion's edges
+    "exchangeable": ((cli, "pair_exchange_path"),
+                     lambda phi, a, b: [((a, b), (a, a)), ((a, a), (b, a))],
+                     ["exchangeable", "--interaction", "exclusion"], "pair-path-realized"),
+    "expand-reassemble": ((cli, "assemble"), lambda comps, support, states: None,
+                          ["expand", "--function", "local.json"], "reassemble"),
+    "expand-exact-support": ((cli, "is_exact_support"), lambda comp, base: False,
+                             ["expand", "--function", "local.json"], "exact-support"),
+    "rebase": ((cli, "families_equal"), lambda f, g: False,
+               ["rebase", "--function", "xiX.json", "--base", "1"], "involution"),
+    # 0, 1, 2, ... whatever is asked: every later minus earlier value is -1
+    "diff": ((cli, "evaluate"), lambda fn, eta, n=itertools.count(): next(n),
+             ["diff", "--function", "xiX.json", "--from", "etaA.json", "--to", "etaB.json"],
+             "evaluation-consistent"),
+    "neighbors": ((cli, "transition_from_document"), lambda doc, phi, before: None,
+                  ["neighbors", *SYSTEM], "round-trip"),
+    "swap-path": ((cli, "transition_from_document"),
+                  lambda doc, phi, before: SimpleNamespace(after=before),
+                  ["swap-path", *SYSTEM, "--sites", "0", "3"], "endpoint-swap"),
+    "component": ((ConfigCode, "apply"), lambda self, move, code: -1,
+                  ["component", *SYSTEM], "round-trip"),
+}
+
+
+@pytest.mark.parametrize("case", FORCED_DISAGREEMENTS)
+def test_a_check_that_disagrees_ends_the_call_before_any_output(capsys, workdir, monkeypatch,
+                                                                case):
+    (owner, name), replacement, argv, check = FORCED_DISAGREEMENTS[case]
+    monkeypatch.chdir(workdir)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and [check, "pass"] in last_report(out)["verification"]
+    monkeypatch.setattr(owner, name, replacement)
+    assert_check_failed(run(capsys, *argv), check)
+    target = workdir / "report.out"
+    assert_check_failed(run(capsys, *argv, "--out", str(target)), check)
+    assert not target.exists()
 
 
 def test_explicit_graph_with_mixed_vertex_types_is_a_schema_error(capsys, tmp_path):
