@@ -6,10 +6,11 @@ files are written once into a scratch directory, and every op, the warm-up
 included, runs once under each tree's ``src``.  So does a fixed list of
 calls: the parser's (the help of every subcommand, the version, flag errors,
 the dash-led or repeated values a command line may carry, and integers out of
-their range), two refusals of the cap rule, four ``--format table`` reports,
-three kernels at k = 2, whose rows come from two template offsets, a kernel
-at R = 2 whose elimination meets pivot entries other than 1, and ``consv``
-at every base of every builtin, not only at the declared one.
+their range), five refusals of the cap rule, two answers on lattice ranges
+far past their window, four ``--format table`` reports, three kernels at
+k = 2, whose rows come from two template offsets, a kernel at R = 2 whose
+elimination meets pivot entries other than 1, and ``consv`` at every base of
+every builtin, not only at the declared one.
 Stdout, stderr and exit status must be identical.  One line is printed per
 difference, and the exit status is 1 when there is any.
 
@@ -56,10 +57,17 @@ PARSER_CALLS = [
     ["h0", "--interaction", "exclusion", "--graph", "lattice:1:3:0"],
     ["consv", "--interaction", "multispecies:0"],
 ]
-# the cap rule's refusals, worded with the full count
+# the cap rule's refusals, worded with the full count, and lattice ranges past their window
 CAP_CALLS = [
     ["h0", "--interaction", "exclusion", "--graph", "path:30"],
     ["kernel", "--interaction", "exclusion", "--radius", "10", "--window=-60:60"],
+    ["h0", "--interaction", "exclusion", "--graph", "path:300000"],
+    ["h0", "--interaction", "exclusion", "--graph", "path:1000000000000"],
+    ["neighbors", "--interaction", "exclusion", "--graph", "lattice:1:0:99999999",
+     "--config", "one.json"],
+    ["h0", "--interaction", "exclusion", "--graph", "lattice:99999999999:0:3"],
+    ["kernel", "--interaction", "exclusion", "--radius", "0", "--k", "99999999999",
+     "--window=-6:6"],
 ]
 # the table renderer, on the calls that read no input file
 TABLE_CALLS = [

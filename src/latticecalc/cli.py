@@ -39,6 +39,7 @@ from .cohomology import (
     NOT_CONSERVED_PAIR,
     NONZERO_MULTI_SITE,
     UNEQUAL_SINGLE_SITE,
+    configuration_count,
     extract_conserved,
     h0_h1_finite,
     invariance_kernel,
@@ -55,14 +56,8 @@ from .interaction import (
 )
 from .localfn import assemble, expand, is_exact_support
 from .rationals import format_rational, parse_int, parse_object
-from .sitegraph import (
-    SiteGraph,
-    cycle_graph,
-    graph_to_document,
-    lattice_window,
-    load_graph,
-    path_graph,
-)
+from .sitegraph import (CYCLE, LATTICE_Z, PATH, SiteGraph, _integer_graph, graph_to_document,
+                        load_graph)
 from .transitions import (
     component_bfs,
     is_invariant,
@@ -85,9 +80,9 @@ from .uniform import (
     uniform_to_document,
 )
 
-# each shorthand's builder and the form of its integer fields
-_GRAPH_SHORTHANDS = {"path": (path_graph, "path:n"), "cycle": (cycle_graph, "cycle:n"),
-                     "lattice": (lattice_window, "lattice:k:a:b")}
+# each shorthand's graph kind and the form of its integer fields
+_GRAPH_SHORTHANDS = {"path": (PATH, "path:n"), "cycle": (CYCLE, "cycle:n"),
+                     "lattice": (LATTICE_Z, "lattice:k:a:b")}
 
 
 def _dumps(obj) -> str:
@@ -139,15 +134,16 @@ def _interaction_arg(token: str, inputs: dict) -> Interaction:
     return load_interaction(_read_json(token, inputs, "interaction"))
 
 
-def _graph_arg(token: str, inputs: dict) -> SiteGraph:
+def _graph_arg(token: str, inputs: dict, sized=None) -> SiteGraph:
+    """A graph file's graph, or a shorthand's: its site count goes to ``sized`` first."""
     head, _, rest = token.partition(":")
     if head in _GRAPH_SHORTHANDS:
-        build, form = _GRAPH_SHORTHANDS[head]
+        kind, form = _GRAPH_SHORTHANDS[head]
         bad = f"bad graph shorthand {token!r}; expected {form}, integers"
         if token.count(":") != form.count(":"):
             raise SchemaError(bad)
         inputs["graph"] = "shorthand:" + token
-        return build(*(parse_int(field, bad) for field in rest.split(":")))
+        return _integer_graph(kind, *(parse_int(f, bad) for f in rest.split(":")), sized=sized)
     return load_graph(_read_json(token, inputs, "graph"))
 
 
@@ -383,7 +379,8 @@ def cmd_invariant(args, inputs):
 
 def cmd_h0(args, inputs):
     phi = _interaction_arg(args.interaction, inputs)
-    summary = h0_h1_finite(phi, _graph_arg(args.graph, inputs))
+    graph = _graph_arg(args.graph, inputs, lambda sites: configuration_count(phi, sites))
+    summary = h0_h1_finite(phi, graph)
     outputs = {
         "dim_c0": summary.dim_c0,
         "dim_c1": summary.dim_c1,

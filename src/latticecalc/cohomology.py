@@ -56,6 +56,14 @@ class CochainSpaceSummary(Record):
         return self.dim_c1 - self.rank_d
 
 
+def configuration_count(phi: Interaction, sites: int) -> int:
+    """The n^sites configurations of ``phi`` on ``sites`` sites, counted
+    against ``max_table`` before any of them is enumerated."""
+    size = phi.states.n ** sites
+    caps.require("max_table", size, "{} configurations exceed cap {}")
+    return size
+
+
 def h0_h1_finite(phi: Interaction, graph: SiteGraph) -> CochainSpaceSummary:
     """Exact cochain dimensions for a finite system by full enumeration.
 
@@ -72,8 +80,7 @@ def h0_h1_finite(phi: Interaction, graph: SiteGraph) -> CochainSpaceSummary:
     star row to {w, root}, then through w's star row to nothing, or it is
     kept as w's star row: at most two elimination steps per pair.
     """
-    size = phi.states.n ** len(graph.vertices)
-    caps.require("max_table", size, "{} configurations exceed cap {}")
+    size = configuration_count(phi, len(graph.vertices))
     codes = ConfigCode(phi, graph)
     reducer = linalg.RowReducer()
     column = [-1] * size
@@ -204,7 +211,8 @@ def _kernel_rows(phi: Interaction, radius: int, graph: SiteGraph, base: int, uid
     lies in the window, so its rows are those of the whole lattice."""
     reach = graph.k * radius
     lo, hi = _inner_window(graph, radius)
-    templates = {j: _template_rows(phi, reach, j, base) for j in range(1, graph.k + 1)}
+    offsets = range(1, min(graph.k, hi - lo) + 1)  # those of the inner edges
+    templates = {j: _template_rows(phi, reach, j, base) for j in offsets}
     for x, y in graph.unordered_edges():
         if lo <= x and y <= hi:
             columns, rows = templates[y - x]

@@ -14,6 +14,7 @@ from collections import deque
 from functools import cached_property
 from itertools import chain
 
+from . import caps
 from .errors import (
     AsymmetricEdgesError,
     Record,
@@ -124,40 +125,40 @@ def explicit_graph(vertices, edges, symmetry: str = "lenient") -> SiteGraph:
     return SiteGraph(kind=EXPLICIT, vertices=vs, edges=frozenset(es))
 
 
+def _integer_graph(kind: str, *fields: int, sized=None) -> SiteGraph:
+    """The ``kind`` graph of ``fields`` (n, or k, a, b for a window), checked first:
+    sites a..b, each joined to the sites d = 1..min(k, b − a) above it, a cycle's a to b
+    too.  ``max_bfs``, then ``sized``, see the site count before any site is listed."""
+    if kind == LATTICE_Z:
+        k, a, b = fields
+        require_int(k, "lattice range k must be an integer >= 1, got {!r}", 1)
+        bad = "window [{!r}, {!r}] is not a nonempty integer range"
+        require_int(b, bad, require_int(a, bad, None, fields=(a, b)), fields=(a, b))
+    else:
+        (n,), low = fields, 3 if kind == CYCLE else 1
+        require_int(n, f"{kind} graph needs an integer n >= {low}, got {{!r}}", low)
+        k, a, b = 1, 0, n - 1
+    caps.require("max_bfs", b - a + 1, "a graph of {} sites exceeds cap {}")
+    if sized is not None:
+        sized(b - a + 1)
+    offsets = [*range(1, min(k, b - a) + 1), *([b - a] if kind == CYCLE else [])]
+    edges = frozenset(chain.from_iterable(((i, i + d), (i + d, i))
+                                          for d in offsets for i in range(a, b + 1 - d)))
+    window = {"k": k, "window": (a, b)} if kind == LATTICE_Z else {}
+    return SiteGraph(kind=kind, vertices=tuple(range(a, b + 1)), edges=edges, **window)
+
+
 def path_graph(n: int) -> SiteGraph:
-    require_int(n, "path graph needs an integer n >= 1, got {!r}", 1)
-    edges = set()
-    for i in range(n - 1):
-        edges |= {(i, i + 1), (i + 1, i)}
-    return SiteGraph(kind=PATH, vertices=tuple(range(n)), edges=frozenset(edges))
+    return _integer_graph(PATH, n)
 
 
 def cycle_graph(n: int) -> SiteGraph:
-    require_int(n, "cycle graph needs an integer n >= 3, got {!r}", 3)
-    edges = set()
-    for i in range(n):
-        j = (i + 1) % n
-        edges |= {(i, j), (j, i)}
-    return SiteGraph(kind=CYCLE, vertices=tuple(range(n)), edges=frozenset(edges))
+    return _integer_graph(CYCLE, n)
 
 
 def lattice_window(k: int, a: int, b: int) -> SiteGraph:
     """Window [a, b] of the integer lattice with edges 1 <= |i - j| <= k."""
-    require_int(k, "lattice range k must be an integer >= 1, got {!r}", 1)
-    bad = "window [{!r}, {!r}] is not a nonempty integer range"
-    require_int(b, bad, require_int(a, bad, None, fields=(a, b)), fields=(a, b))
-    edges = set()
-    for i in range(a, b + 1):
-        for d in range(1, k + 1):
-            if i + d <= b:
-                edges |= {(i, i + d), (i + d, i)}
-    return SiteGraph(
-        kind=LATTICE_Z,
-        vertices=tuple(range(a, b + 1)),
-        edges=frozenset(edges),
-        k=k,
-        window=(a, b),
-    )
+    return _integer_graph(LATTICE_Z, k, a, b)
 
 
 def breadth_first(start, step):
@@ -247,10 +248,8 @@ def load_graph(doc: dict) -> SiteGraph:
     if kind == LATTICE_Z:
         a, b = parse_list(doc["window"], "a lattice 'window' must list two integers", 2)
         return lattice_window(doc.get("k", 1), a, b)
-    if kind == PATH:
-        return path_graph(doc["n"])
-    if kind == CYCLE:
-        return cycle_graph(doc["n"])
+    if kind in (PATH, CYCLE):
+        return _integer_graph(kind, doc["n"])
     vertices = parse_list(doc["vertices"], "explicit graph 'vertices' must be a list")
     bad = "explicit graph 'edges' must be a list of two-vertex lists"
     edges = [parse_list(e, bad, 2) for e in parse_list(doc["edges"], bad)]

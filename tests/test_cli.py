@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from latticecalc import __version__, cli, cohomology, linalg
+from latticecalc import __version__, cli, cohomology, linalg, sitegraph
 from latticecalc.cli import _COMMON, COMMANDS, _dumps, main
 from latticecalc.interaction import builtin_interaction, state_space
 from latticecalc.sitegraph import cycle_graph, lattice_window, load_graph
@@ -754,7 +754,13 @@ def test_kernel_refuses_too_many_unknowns_before_listing_them(capsys, monkeypatc
     (["component", "--interaction", "exclusion", "--graph", "lattice:1:-2:2",
       "--config", "one.json", "--max-states", "1000001"],
      "a search of 1000001 states exceeds cap 1000000"),
-], ids=["h0", "kernel", "component"])
+    (["h0", "--interaction", "exclusion", "--graph", "path:1000000000000"],
+     "a graph of 1000000000000 sites exceeds cap 1000000"),
+    (["neighbors", "--interaction", "exclusion", "--graph", "lattice:1:0:99999999",
+      "--config", "one.json"], "a graph of 100000000 sites exceeds cap 1000000"),
+    (["kernel", "--interaction", "exclusion", "--radius", "1", "--window=0:99999999"],
+     "a graph of 100000000 sites exceeds cap 1000000"),
+], ids=["h0", "kernel", "component", "h0-sites", "neighbors-sites", "kernel-sites"])
 def test_an_over_cap_call_ends_in_one_cap_exceeded_line(capsys, monkeypatch, workdir, argv,
                                                         message):
     """A count past the interpreter's digit limit is named by its size."""
@@ -765,6 +771,67 @@ def test_an_over_cap_call_ends_in_one_cap_exceeded_line(capsys, monkeypatch, wor
     assert time.perf_counter() - start < 2
     assert code == 2 and not out
     assert err == _dumps({"error": {"code": "cap-exceeded", "message": message}}) + "\n"
+
+
+@pytest.mark.parametrize("token,message", [
+    ("path:300000", "2^300000+ configurations exceed cap 1048576"),
+    ("path:1000000000000", "a graph of 1000000000000 sites exceeds cap 1000000"),
+    ("path:30", "1073741824 configurations exceed cap 1048576"),
+    ("cycle:21", "2097152 configurations exceed cap 1048576"),
+    ("lattice:99999999999:-10:10", "2097152 configurations exceed cap 1048576"),
+])
+def test_h0_refuses_an_over_cap_shorthand_before_it_builds_the_graph(capsys, monkeypatch,
+                                                                     token, message):
+    """The site cap first, so n is raised only to a bounded power; then the
+    n^|V| configurations, before any site is listed."""
+    monkeypatch.delenv("LATTICECALC_CAPS", raising=False)
+
+    def no_graph(**fields):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(sitegraph, "SiteGraph", no_graph)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "h0", "--interaction", "exclusion", "--graph", token)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out
+    assert err == _dumps({"error": {"code": "cap-exceeded", "message": message}}) + "\n"
+
+
+def test_h0_answers_a_range_past_its_window_at_once(capsys, tmp_path):
+    """k = 99999999999 on four sites has the edges of k = 3, as a shorthand
+    and as a document."""
+    doc = tmp_path / "wide.json"
+    doc.write_text(json.dumps({"kind": "lattice_z", "k": 99999999999, "window": [0, 3]}))
+    start = time.perf_counter()
+    answers = [run(capsys, "h0", "--interaction", "exclusion", "--graph", graph)
+               for graph in ("lattice:99999999999:0:3", str(doc), "lattice:3:0:3")]
+    assert time.perf_counter() - start < 2
+    assert [code for code, _, _ in answers] == [0, 0, 0]
+    outputs = [json.loads(out)["outputs"] for _, out, _ in answers]
+    assert outputs[0] == outputs[1] == outputs[2] == {
+        "dim_c0": 16, "dim_c1": 24, "h0": 5, "h1": 13, "rank": 11}
+
+
+def test_kernel_at_a_range_past_its_window_answers_at_once(capsys):
+    """Templates are built for the window's offsets only, not for every j <= k."""
+    start = time.perf_counter()
+    wide = run(capsys, "kernel", "--interaction", "exclusion", "--radius", "0",
+               "--k", "99999999999", "--window=-6:6")
+    assert time.perf_counter() - start < 2
+    code, out, _ = wide
+    assert code == 0
+    _, twelve, _ = run(capsys, "kernel", "--interaction", "exclusion", "--radius", "0",
+                       "--k", "12", "--window=-6:6")
+    assert json.loads(out)["outputs"]["basis"] == json.loads(twelve)["outputs"]["basis"]
+    assert json.loads(out)["outputs"]["dimension"] == 1
+    start = time.perf_counter()
+    code, out, err = run(capsys, "kernel", "--interaction", "exclusion", "--radius", "1",
+                         "--k", "99999999999", "--window=-6:6")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and not out
+    assert err == _dumps({"error": {"code": "window-too-small", "message":
+                                    "inner window [99999999993, -99999999993] holds no edge"}}
+                         ) + "\n"
 
 
 def test_expand_refuses_a_support_over_the_cap_before_building_its_table(capsys, tmp_path,

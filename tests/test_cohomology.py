@@ -7,6 +7,7 @@ sympy on the very same constraint rows.
 """
 
 import itertools
+import time
 from fractions import Fraction
 
 import networkx as nx
@@ -443,6 +444,26 @@ def test_kernel_row_count_on_a_benchmark_window(name, radius, window, base_label
     base = phi.states.index(base_label)
     uid, _ = kernel_index(_kernel_unknowns(phi, radius, g, base))
     assert sum(1 for _ in _kernel_rows(phi, radius, g, base, uid)) == count
+
+
+def test_kernel_rows_come_from_the_window_offsets_only(monkeypatch):
+    """A range far past a 13-site window builds templates for its 12 offsets,
+    and its kernel is the one at k = 12."""
+    offsets, template_rows = [], cohomology._template_rows
+
+    def counted(phi, reach, j, base):
+        offsets.append(j)
+        return template_rows(phi, reach, j, base)
+
+    monkeypatch.setattr(cohomology, "_template_rows", counted)
+    start = time.perf_counter()
+    wide = invariance_kernel(EXCLUSION, 0, lattice_window(10 ** 11, -6, 6), 0)
+    assert time.perf_counter() - start < 2
+    assert offsets == list(range(1, 13))
+    twelve = invariance_kernel(EXCLUSION, 0, lattice_window(12, -6, 6), 0)
+    assert [fn.components for fn in wide.basis] == [fn.components for fn in twelve.basis]
+    assert (wide.unknown_count, wide.constraint_rank, wide.dimension) == (
+        twelve.unknown_count, twelve.constraint_rank, twelve.dimension)
 
 
 def test_kernel_for_the_nonexchangeable_variant_runs():
