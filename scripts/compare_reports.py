@@ -9,8 +9,9 @@ the dash-led or repeated values a command line may carry, and integers out of
 their range), five refusals of the cap rule, two answers on lattice ranges
 far past their window, four ``--format table`` reports, three kernels at
 k = 2, whose rows come from two template offsets, a kernel at R = 2 whose
-elimination meets pivot entries other than 1, and ``consv`` at every base of
-every builtin, not only at the declared one.
+elimination meets pivot entries other than 1, three kernels whose patterns
+hold many sites off the fired edge, and ``consv`` at every base of every
+builtin, not only at the declared one.
 Stdout, stderr and exit status must be identical.  One line is printed per
 difference, and the exit status is 1 when there is any.
 
@@ -87,12 +88,19 @@ RANGE_TWO_CALLS = [
 NON_UNIT_PIVOT_CALLS = [
     ["kernel", "--interaction", "two-species-ac", "--radius", "2", "--window=-10:10", "--base=1"],
 ]
+# kernels at large k·R, whose patterns hold up to k·R sites off the fired edge
+DEEP_PATTERN_CALLS = [
+    ["kernel", "--interaction", "exclusion", "--radius", "6", "--window=-20:20"],
+    ["kernel", "--interaction", "multispecies:2", "--k", "2", "--radius", "2", "--window=-10:10"],
+    ["kernel", "--interaction", "two-species-ac", "--radius", "3", "--window=-14:14", "--base=1"],
+]
 FIXED_CALLS = [
     *PARSER_CALLS,
     *CAP_CALLS,
     *([*argv, "--format", "table"] for argv in TABLE_CALLS),
     *RANGE_TWO_CALLS,
     *NON_UNIT_PIVOT_CALLS,
+    *DEEP_PATTERN_CALLS,
     *(["consv", "--interaction", name, f"--base={label}"]
       for name in workloads.BUILTINS for label in oracles.interaction(name)[0]),
 ]

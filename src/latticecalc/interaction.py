@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
+from math import lcm
 
 from . import linalg
 from .errors import (
@@ -99,10 +100,11 @@ class Interaction(Record):
 
     @cached_property
     def pair_targets(self) -> dict[PairIdx, tuple[PairIdx, ...]]:
+        """Each pair's targets, in the order of the sorted edges."""
         out: dict[PairIdx, list[PairIdx]] = {}
-        for src, dst in self.edges:
+        for src, dst in sorted(self.edges):
             out.setdefault(src, []).append(dst)
-        return {src: tuple(sorted(dsts)) for src, dsts in out.items()}
+        return {src: tuple(dsts) for src, dsts in out.items()}
 
     def targets(self, pair: PairIdx) -> tuple[PairIdx, ...]:
         return self.pair_targets.get(pair, ())
@@ -268,11 +270,13 @@ class ConservedQuantity(Record):
 
     def unconserved_edge(self, phi: Interaction) -> PhiEdge | None:
         """The first interaction edge, in sorted order, along which the pair
-        sum changes, or None."""
+        sum changes, or None: each edge of ``pair_targets`` is checked, on the
+        values scaled to integers."""
         require_same_system(self, phi, "quantity and interaction")
-        v = self.values
-        return next((((a, b), (c, d)) for (a, b), (c, d) in sorted(phi.edges)
-                     if v[a] + v[b] != v[c] + v[d]), None)
+        den = lcm(*(v.denominator for v in self.values))
+        w = [v.numerator * (den // v.denominator) for v in self.values]
+        return next((((a, b), (c, d)) for (a, b), targets in phi.pair_targets.items()
+                     for c, d in targets if w[a] + w[b] != w[c] + w[d]), None)
 
     def pair_sum_constant(self, phi: Interaction) -> bool:
         """True when the pair sum is constant along every interaction edge."""
@@ -295,60 +299,51 @@ def _candidate_supports(a: int, b: int, reach: int) -> list[tuple[int, ...]]:
 
 def _template_rows(phi: Interaction, reach: int, j: int, base: int):
     """``(columns, rows)``: the constraint rows at the edge (0, j) of the
-    lattice, one per unordered move there and admissible pattern, where column
-    c is the key ``columns[c]`` = (support, entry) relative to 0, numbered as
-    first seen.  Their span is that of the rows of every configuration.
+    lattice, where column c is the key ``columns[c]`` = (support, entry)
+    relative to 0, numbered as first seen.  Their span is that of the rows
+    of every configuration.
 
     Fix the states at 0 and j and a move there.  The row of a configuration
     P sums, over candidate supports λ (span <= ``reach``) meeting {0, j}, a
-    term that depends on P only through P on λ∖{0, j}.  Write S for the
-    non-base sites of P outside {0, j} and P|T for P with every site of S∖T
-    set to base.  Möbius inversion over subsets of S gives row(P) =
-    Σ_{T⊆S} G_T with G_T = Σ_{U⊆T} (-1)^{|T|-|U|} row(P|U), and G_T
-    vanishes unless T ⊆ λ∖{0, j} for some λ, so unless T ∪ {0} or T ∪ {j}
-    spans at most ``reach``.  Call such T *admissible*; every subset of one
-    is too.  So the row of any configuration, of any size, is a signed sum
-    of rows of the admissible patterns P|U: the λ∖{0, j} of the candidates
-    λ in [−reach, j + reach] through 0 or j.
+    term that depends on P only through P on λ and vanishes unless P is
+    non-base on λ.  Write S for the non-base sites of P off {0, j} and P|T
+    for P with the sites of S∖T set to base.  Möbius inversion over subsets
+    of S gives row(P) = Σ_{T⊆S} G_T(P|T), where G_T(P|T) = Σ_{U⊆T}
+    (-1)^{|T|-|U|} row(P|U) holds exactly the terms of the λ with
+    λ∖{0, j} = T.  So G_T vanishes unless T ∪ {0} or T ∪ {j} spans at most
+    ``reach``: T is *admissible*.  The map row(P|U) ↔ G_U(P|U), U ⊆ T, is
+    unitriangular, so the rows G_T of the admissible patterns span the rows
+    of every configuration.
 
-    A move from pattern B to A changes the sites Δ.  Its row is +1 at
-    (λ, A|λ) for each candidate λ ⊆ nonbase(A) meeting Δ and −1 at (λ, B|λ)
-    for each candidate λ ⊆ nonbase(B) meeting Δ.  Nothing cancels: A|λ ≠ B|λ
-    when λ meets Δ.  So every entry is ±1, and the singleton of a changed
-    site makes every row nonempty.  The move from A back to B (A is
-    admissible too) has the negated row, so only moves with (c, d) > (s, t)
-    fire.  Patterns come by (|S|, S), then values, to keep fill low.
+    A move from pattern B to A changes the sites Δ.  Its row G_T is +1 at
+    (λ, A|λ) and −1 at (λ, B|λ) for each λ = T ∪ E spanning at most
+    ``reach``, where E is (0,), (j,) or (0, j), meets Δ and is non-base on
+    that side.  A|λ ≠ B|λ, so every entry is ±1, each sign has at most
+    three, and an empty row is skipped.  The move back has the negated row,
+    so only moves to a larger (c, d) fire.  Patterns come by (|T|, T), then
+    values, to keep fill low.
     """
     states = range(phi.states.n)
     nonbase = [s for s in states if s != base]
-    index, rows = {}, []
-
-    def columns(config: dict, order, delta):
-        """Columns of (λ, config|λ), for candidate λ ⊆ nonbase(config) meeting delta."""
-        sites = [s for s in order if config[s] != base]
-        for r in range(1, len(sites) + 1):
-            for lam in combinations(sites, r):
-                if lam[-1] - lam[0] <= reach and not delta.isdisjoint(lam):
-                    yield index.setdefault((lam, tuple(config[s] for s in lam)), len(index))
-
-    patterns = {
-        tuple(s for s in lam if s != 0 and s != j)
-        for lam in _candidate_supports(-reach, j + reach, reach)
-        if 0 in lam or j in lam
-    }
-    for sites in sorted(patterns, key=lambda sites: (len(sites), sites)):
-        order = sorted((*sites, 0, j))
+    index, rows, supports = {}, [], {}
+    for lam in _candidate_supports(-reach, j + reach, reach):  # T -> [(E, λ)], λ = T ∪ E
+        sites = tuple(x for x in lam if x != 0 and x != j)
+        if sites != lam:
+            supports.setdefault(sites, []).append((tuple(x for x in lam if x in (0, j)), lam))
+    for sites in sorted(supports, key=lambda sites: (len(sites), sites)):
         for s, t, *values in product(states, states, *[nonbase] * len(sites)):
             pattern = dict(zip(sites, values))
-            pattern[0], pattern[j] = s, t
             for _, _, (c, d) in phi.edge_moves[(s, t)]:
                 if (c, d) <= (s, t):
                     continue
-                after = {**pattern, 0: c, j: d}
-                delta = {site for site, old, new in ((0, s, c), (j, t, d)) if old != new}
-                row = dict.fromkeys(columns(after, order, delta), 1)
-                row.update(dict.fromkeys(columns(pattern, order, delta), -1))
-                rows.append(row)
+                moved, row = {0: s != c, j: t != d}, {}
+                for sign, config in ((1, {**pattern, 0: c, j: d}), (-1, {**pattern, 0: s, j: t})):
+                    for ends, lam in supports[sites]:
+                        if any(moved[e] for e in ends) and all(config[e] != base for e in ends):
+                            key = (lam, tuple(config[x] for x in lam))
+                            row[index.setdefault(key, len(index))] = sign
+                if row:
+                    rows.append(row)
     return list(index), rows
 
 

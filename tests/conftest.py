@@ -136,7 +136,9 @@ def add_pair_component_to_kernel_basis(monkeypatch, graph, pair):
 
 def reference_template_rows(phi, reach, j, base):
     """``interaction._template_rows`` as it was before its columns were
-    numbered: a generator of rows keyed by (support, entry) relative to 0."""
+    numbered and its rows became Möbius components: a generator of the
+    configuration rows of the admissible patterns, keyed by (support, entry)
+    relative to 0.  At reach 0 the two generators give the same rows."""
     states = range(phi.states.n)
     nonbase = [s for s in states if s != base]
 

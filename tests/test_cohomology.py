@@ -32,6 +32,7 @@ from latticecalc.cohomology import (
     invariance_kernel,
 )
 from latticecalc.interaction import (
+    _template_rows,
     builtin_interaction,
     consv_basis,
     is_exchangeable,
@@ -58,8 +59,7 @@ from latticecalc.uniform import (
     xi_X,
 )
 
-from conftest import (CountingPivots, add_pair_component_to_kernel_basis,
-                      reference_template_rows, small_interactions)
+from conftest import CountingPivots, add_pair_component_to_kernel_basis, small_interactions
 
 EXCLUSION = builtin_interaction("exclusion")
 MS2 = builtin_interaction("multispecies:2")
@@ -884,33 +884,37 @@ def reference_admissible(x, y, reach):
                 yield sites
 
 
-def reference_admissible_rows(phi, radius, graph, base, uid, by_site, once=False):
-    """``_kernel_rows`` as it was, with patterns from ``reference_admissible``:
-    every move, or with ``once`` only the moves to a larger (c, d)."""
+def configuration_row(before, after, delta, base, uid, by_site):
+    """The row of one transition: over the supports through a changed site,
+    +1 at the entry of ``after`` and −1 at that of ``before`` where that
+    entry has no base state, zero sums dropped."""
+    row = {}
+    lams = set()
+    for d in delta:
+        lams.update(by_site.get(d, ()))
+    for lam in lams:
+        be = tuple(before.get(s, base) for s in lam)
+        af = tuple(after.get(s, base) for s in lam)
+        if be == af:
+            continue
+        if base not in af:
+            key = uid[(lam, af)]
+            row[key] = row.get(key, 0) + 1
+        if base not in be:
+            key = uid[(lam, be)]
+            row[key] = row.get(key, 0) - 1
+    return {c: v for c, v in row.items() if v}
+
+
+def reference_moves(phi, radius, graph, base, once=False):
+    """``(sites, before, after, delta)`` at each inner edge (x, y), pattern from
+    ``reference_admissible`` and move: every move, or with ``once`` only the
+    moves to a larger (c, d)."""
     a, b = graph.window
     reach = graph.k * radius
     lo, hi = a + reach, b - reach
     states = range(phi.states.n)
     nonbase = [s for s in states if s != base]
-
-    def row_for(before, after, delta):
-        row = {}
-        lams = set()
-        for d in delta:
-            lams.update(by_site.get(d, ()))
-        for lam in lams:
-            be = tuple(before.get(s, base) for s in lam)
-            af = tuple(after.get(s, base) for s in lam)
-            if be == af:
-                continue
-            if base not in af:
-                key = uid[(lam, af)]
-                row[key] = row.get(key, 0) + 1
-            if base not in be:
-                key = uid[(lam, be)]
-                row[key] = row.get(key, 0) - 1
-        return {c: v for c, v in row.items() if v}
-
     for x, y in graph.unordered_edges():
         if not (lo <= x and y <= hi):
             continue
@@ -923,9 +927,36 @@ def reference_admissible_rows(phi, radius, graph, base, uid, by_site, once=False
                         continue
                     after = {**pattern, x: c, y: d}
                     delta = [site for site, old, new in ((x, s, c), (y, t, d)) if old != new]
-                    row = row_for(pattern, after, delta)
-                    if row:
-                        yield row
+                    yield sites, pattern, after, delta
+
+
+def reference_admissible_rows(phi, radius, graph, base, uid, by_site):
+    """The configuration row of every move of ``reference_moves``, reverse
+    moves included: the rows ``_kernel_rows`` gave before they were Möbius
+    components, and their negations."""
+    for _, before, after, delta in reference_moves(phi, radius, graph, base):
+        row = configuration_row(before, after, delta, base, uid, by_site)
+        if row:
+            yield row
+
+
+def reference_component_rows(phi, radius, graph, base, uid, by_site):
+    """``_kernel_rows`` by inclusion–exclusion: for each move to a larger
+    (c, d) of a pattern P on the sites T off the edge, the sum over U ⊆ T of
+    (−1)^{|T|−|U|} times the row of the same move at P|U (P with the sites
+    of T∖U set to base); empty rows dropped."""
+    for sites, before, after, delta in reference_moves(phi, radius, graph, base, once=True):
+        row = {}
+        for r in range(len(sites) + 1):
+            for kept in itertools.combinations(sites, r):
+                dropped = dict.fromkeys(set(sites) - set(kept), base)
+                sign = (-1) ** (len(sites) - r)
+                for c, v in configuration_row({**before, **dropped}, {**after, **dropped},
+                                              delta, base, uid, by_site).items():
+                    row[c] = row.get(c, 0) + sign * v
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            yield row
 
 
 def reference_projected_basis(phi, radius, graph, base):
@@ -982,18 +1013,15 @@ def reference_projected_basis(phi, radius, graph, base):
 
 
 def assert_kernel_matches_the_former_routes(phi, radius, graph, base):
-    """The rows are the former rows of the moves to a larger (c, d), in the
+    """The rows are the inclusion–exclusion sums of the former rows, in the
     same order, and span what the former rows of every move span."""
     unknowns = _kernel_unknowns(phi, radius, graph, base)
     index = kernel_index(unknowns)
     rows = list(_kernel_rows(phi, radius, graph, base, index[0]))
     assert all(row and set(row.values()) <= {1, -1} for row in rows)
-    former = former_unknowns(phi, radius, graph, base)
-    former_rows = reference_admissible_rows(
-        phi, radius, graph, base, *kernel_index(former), once=True
-    )
     assert [{unknowns[c]: v for c, v in row.items()} for row in rows] == [
-        {former[c]: v for c, v in row.items()} for row in former_rows
+        {unknowns[c]: v for c, v in row.items()}
+        for row in reference_component_rows(phi, radius, graph, base, *index)
     ]
     every_move = reference_admissible_rows(phi, radius, graph, base, *index)
     assert linalg.echelon(rows).rref_rows() == linalg.echelon(every_move).rref_rows()
@@ -1045,13 +1073,16 @@ def test_kernel_matches_the_former_routes_for_generated_interactions(phi, k, rad
 
 
 def keyed_translation(phi, radius, graph, base, uid):
-    """``_kernel_rows`` as it was: each dict-keyed template row re-keyed
-    entry by entry as ``{uid[λ + x, e]: v}`` at each inner edge (x, y)."""
+    """``_kernel_rows`` as it was: each template row of ``_template_rows``,
+    keyed by its columns, re-keyed entry by entry as ``{uid[λ + x, e]: v}``
+    at each inner edge (x, y)."""
     reach = graph.k * radius
     a, b = graph.window
     lo, hi = a + reach, b - reach
-    templates = {j: list(reference_template_rows(phi, reach, j, base))
-                 for j in range(1, graph.k + 1)}
+    templates = {}
+    for j in range(1, graph.k + 1):
+        columns, rows = _template_rows(phi, reach, j, base)
+        templates[j] = [{columns[c]: v for c, v in row.items()} for row in rows]
     for x, y in graph.unordered_edges():
         if lo <= x and y <= hi:
             for row in templates[y - x]:

@@ -13,12 +13,13 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticecalc import errors, linalg
 from latticecalc.interaction import (
     ConservedQuantity,
+    _template_rows,
     builtin_interaction,
     consv_basis,
     interaction_to_document,
@@ -30,7 +31,7 @@ from latticecalc.interaction import (
     state_space,
 )
 
-from conftest import small_interactions
+from conftest import reference_template_rows, small_interactions
 
 BUILTINS = ["exclusion", "multispecies:1", "multispecies:2", "multispecies:3",
             "two-species-ac", "quastel2"]
@@ -397,3 +398,50 @@ def test_edge_moves_keep_flipped_and_identity_moves():
         (True, ((1, 1), (0, 1)), (1, 0)),
     )
     assert phi.edge_moves[(0, 1)] == ((False, ((0, 1), (1, 1)), (1, 1)),)
+
+
+# ---------------------------------------------------------------------------
+# template rows: the Möbius components of the configuration rows
+
+
+def assert_template_rows_are_moebius_components(phi, reach, j, base):
+    """Every entry is ±1 and each sign has at most three.  Each column's
+    support spans at most ``reach`` through 0 or j, and off {0, j} it holds
+    the row's pattern: the same sites and states for every column of the
+    row, patterns in order of (|T|, T).  The rows span what the rows of the
+    former generator span."""
+    columns, rows = _template_rows(phi, reach, j, base)
+    patterns = []
+    for row in rows:
+        assert row and set(row.values()) <= {1, -1}
+        assert all(sum(v == sign for v in row.values()) <= 3 for sign in (1, -1))
+        lams = [columns[c][0] for c in row]
+        assert all(lam[-1] - lam[0] <= reach and (0 in lam or j in lam) for lam in lams)
+        (pattern,) = {tuple((x, e) for x, e in zip(*columns[c]) if x not in (0, j)) for c in row}
+        patterns.append(tuple(x for x, _ in pattern))
+    assert patterns == sorted(patterns, key=lambda sites: (len(sites), sites))
+    former = list(reference_template_rows(phi, reach, j, base))
+    keys = sorted({*columns, *(key for row in former for key in row)})
+    number = {key: i for i, key in enumerate(keys)}
+    new = [{number[columns[c]]: v for c, v in row.items()} for row in rows]
+    old = [{number[key]: v for key, v in row.items()} for row in former]
+    assert linalg.echelon(new).rref_rows() == linalg.echelon(old).rref_rows()
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_template_rows_are_moebius_components(name):
+    phi = builtin_interaction(name)
+    for base, reach, j in itertools.product(range(phi.states.n), range(4), range(1, 4)):
+        assert_template_rows_are_moebius_components(phi, reach, j, base)
+
+
+# creation next to a particle changes one site of the edge, which no
+# builtin move does: E = (1,) misses it and must give no column
+ONE_SITE_MOVE = make_interaction(state_space(["0", "1"], "0"), [((0, 1), (1, 1))])
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_interactions(), st.integers(0, 3), st.integers(1, 3))
+@example(ONE_SITE_MOVE, 1, 1)
+def test_template_rows_are_moebius_components_for_generated(phi, reach, j):
+    assert_template_rows_are_moebius_components(phi, reach, j, phi.states.base_index)
