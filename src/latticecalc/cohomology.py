@@ -26,7 +26,7 @@ from . import caps, linalg
 from .errors import (NormalizationError, Record, SchemaError, VerificationError,
                      WindowTooSmallError, require_same_system)
 from .interaction import ConservedQuantity, Interaction, _candidate_supports, _template_rows
-from .localfn import LocalFunction
+from .localfn import ExactSupportFunction
 from .rationals import require_int
 from .sitegraph import LATTICE_Z, SiteGraph
 from .transitions import ConfigCode
@@ -226,7 +226,8 @@ def _certify_basis(basis, uid: dict, reducer: linalg.RowReducer) -> None:
 
     Each row fed to ``reducer`` was either kept or reduced to zero against
     the pivot rows, so the pivot rows span every constraint row and the
-    check covers the whole constraint set.
+    check covers the whole constraint set.  A row that shares no column
+    with a function sums to 0 on it, so only the other rows are summed.
     """
     for fn in basis:
         vec = {
@@ -236,7 +237,8 @@ def _certify_basis(basis, uid: dict, reducer: linalg.RowReducer) -> None:
             if value
         }
         for row in reducer.pivot_rows.values():
-            if sum(coef * vec[c] for c, coef in row.items() if c in vec):
+            if not vec.keys().isdisjoint(row) and sum(
+                    coef * vec[c] for c, coef in row.items() if c in vec):
                 raise VerificationError("kernel basis violates a constraint row")
 
 
@@ -280,20 +282,14 @@ def invariance_kernel(
     for row in _kernel_rows(phi, radius, graph, base, uid):
         reducer.add(row)
     first = sum(lam[0] < lo or lam[-1] > hi for lam, _ in unknowns)
-    inner = linalg.RowReducer()  # echelon already: the rows are shifted, not re-added
-    inner.pivot_rows = {
-        col - first: {c - first: v for c, v in row.items()}
-        for col, row in reducer.pivot_rows.items()
-        if col >= first
-    }
     basis = []
-    for vec in linalg.nullspace_of(inner, len(unknowns) - first):
+    for vec in linalg.nullspace_of(reducer, len(unknowns), first):
         entries: dict[tuple, dict] = {}
         for (lam, entry), value in zip(unknowns[first:], vec):
             if value:
                 entries.setdefault(lam, {})[entry] = value
         comps = {
-            lam: LocalFunction.from_entries(phi.states, lam, values)
+            lam: ExactSupportFunction.from_entries(phi.states, lam, values, base_index=base)
             for lam, values in entries.items()
         }
         basis.append(explicit_uniform(phi.states, graph, base, radius, comps))

@@ -110,11 +110,12 @@ class RowReducer:
                     del rem[c]
         return False
 
-    def rref_rows(self) -> list[dict[int, Fraction]]:
-        """The canonical RREF, sorted by pivot column: each pivot row divided
-        by its pivot entry, then cleared with the returned rows of larger pivot."""
+    def rref_rows(self, first: int = 0) -> list[dict[int, Fraction]]:
+        """The canonical RREF of the pivot rows with pivot >= ``first`` (none has
+        a column below it), sorted by pivot column: each divided by its pivot
+        entry, then cleared with the returned rows of larger pivot."""
         out: dict[int, dict[int, Fraction]] = {}
-        for col in sorted(self.pivot_rows, reverse=True):
+        for col in sorted((c for c in self.pivot_rows if c >= first), reverse=True):
             row = self.pivot_rows[col]
             rref = {c: Fraction(v, row[col]) for c, v in row.items()}
             for c in [c for c in row if c in out]:
@@ -154,20 +155,21 @@ def rref_basis(rows, ncols: int) -> list[tuple[Fraction, ...]]:
     return [dense(r, ncols) for r in echelon(rows).rref_rows()]
 
 
-def nullspace_of(reducer: RowReducer, ncols: int) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of the solution space of the rows held by ``reducer``."""
-    rref = reducer.rref_rows()
+def nullspace_of(reducer: RowReducer, ncols: int, first: int = 0) -> list[tuple[Fraction, ...]]:
+    """Canonical basis of the solutions, on columns ``first``.. and indexed from
+    ``first``, of the rows held by ``reducer`` whose pivot is at least ``first``."""
+    rref = reducer.rref_rows(first)
     pivot_set = {min(r) for r in rref}
     vectors: list[dict[int, Fraction]] = []
-    for free in (c for c in range(ncols) if c not in pivot_set):
-        vec = {free: Fraction(1)}
+    for free in (c for c in range(first, ncols) if c not in pivot_set):
+        vec = {free - first: Fraction(1)}
         for row in rref:
             coeff = row.get(free)
             if coeff:
-                vec[min(row)] = -coeff
+                vec[min(row) - first] = -coeff
         vectors.append(vec)
     # normalize the basis itself so the output is unique for the solution space
-    return rref_basis(vectors, ncols)
+    return rref_basis(vectors, ncols - first)
 
 
 def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:

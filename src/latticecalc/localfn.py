@@ -87,29 +87,28 @@ class LocalFunction(Record):
 
     @classmethod
     def from_function(
-        cls, states: StateSpace, support, fn: Callable[[Assignment], object]
+        cls, states: StateSpace, support, fn: Callable[[Assignment], object], **fields
     ) -> "LocalFunction":
         supp = _sorted_support(support)
         _table_size(states, len(supp))
-        table = tuple(
-            ensure_fraction(fn(a)) for a in product(range(states.n), repeat=len(supp))
-        )
-        return cls(states=states, support=supp, table=table)
+        table = tuple(fn(a) for a in product(range(states.n), repeat=len(supp)))
+        return cls(states=states, support=supp, table=table, **fields)
 
     @classmethod
     def from_entries(
-        cls, states: StateSpace, support, entries: Mapping[Assignment, object]
+        cls, states: StateSpace, support, entries: Mapping[Assignment, object], **fields
     ) -> "LocalFunction":
         """Build from a sparse {assignment: value} map; omitted entries are
         zero.  Each table slot looks up its own assignment, so a key that is
-        not an assignment of the support is refused rather than dropped."""
+        not an assignment of the support is refused rather than dropped;
+        ``fields`` go to the constructor, as they do from ``from_function``."""
         arity, bad = len(_sorted_support(support)), "{!r} is not an assignment of {} sites"
         for key in entries:
             if not (isinstance(key, tuple) and len(key) == arity):
                 raise SchemaError(bad.format(key, arity))
             for s in key:
                 require_int(s, bad, 0, states.n, (key, arity))
-        return cls.from_function(states, support, lambda a: entries.get(a, 0))
+        return cls.from_function(states, support, lambda a: entries.get(a, 0), **fields)
 
     @classmethod
     def zero(cls, states: StateSpace, support=()) -> "LocalFunction":
@@ -122,7 +121,7 @@ class LocalFunction(Record):
 
     @classmethod
     def constant(cls, states: StateSpace, value) -> "LocalFunction":
-        return cls(states=states, support=(), table=(ensure_fraction(value),))
+        return cls(states=states, support=(), table=(value,))
 
 
 class ExactSupportFunction(LocalFunction):

@@ -798,6 +798,47 @@ def test_certificate_rejects_a_basis_the_probes_accept(monkeypatch):
     assert reference_probe_check(EXCLUSION, tampered, g, 0)
 
 
+CERTIFIED_KERNELS = [
+    ("exclusion", 1, 1, (-5, 5), 0),
+    ("two-species-ac", 1, 1, (-5, 5), 1),
+    ("multispecies:2", 2, 1, (-8, 8), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "name,k,radius,window,base", CERTIFIED_KERNELS,
+    ids=[f"{n}-k{k}r{r}-base{b}" for n, k, r, _, b in CERTIFIED_KERNELS],
+)
+def test_certificate_rejects_a_step_off_the_kernel_at_every_column(name, k, radius, window,
+                                                                   base):
+    """A basis function plus 1 at one inner unknown stays in the kernel
+    exactly when no constraint row holds that unknown, so the certificate
+    refuses it exactly when some pivot row does: it may skip only the rows
+    that share no column with a function."""
+    phi, graph = builtin_interaction(name), lattice_window(k, *window)
+    report = invariance_kernel(phi, radius, graph, base)
+    unknowns = _kernel_unknowns(phi, radius, graph, base)
+    uid = {key: i for i, key in enumerate(unknowns)}
+    reducer = linalg.echelon(_kernel_rows(phi, radius, graph, base, uid))
+    (lo, hi), honest = report.inner_window, family_map(report.basis[0])
+    refused = 0
+    for lam, entry in unknowns:
+        if not (lo <= lam[0] and lam[-1] <= hi):
+            continue
+        table = list(honest[lam].table if lam in honest else [0] * phi.states.n ** len(lam))
+        table[sum(s * phi.states.n ** i for i, s in enumerate(reversed(entry)))] += 1
+        comps = {**honest, lam: ExactSupportFunction(
+            states=phi.states, support=lam, table=tuple(table), base_index=base)}
+        tampered = explicit_uniform(phi.states, graph, base, radius, comps)
+        if any(uid[lam, entry] in row for row in reducer.pivot_rows.values()):
+            refused += 1
+            with pytest.raises(errors.VerificationError):
+                cohomology._certify_basis([tampered], uid, reducer)
+        else:
+            cohomology._certify_basis([tampered], uid, reducer)
+    assert refused
+
+
 # ---------------------------------------------------------------------------
 # admissible rows span the rows of every configuration
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from latticecalc import errors, linalg
 from latticecalc.cohomology import (
+    _inner_window,
     _kernel_rows,
     _kernel_unknowns,
     h0_h1_finite,
@@ -29,6 +30,7 @@ from latticecalc.interaction import builtin_interaction, consv_basis
 from latticecalc.linalg import (
     RowReducer,
     dense,
+    echelon,
     nullspace,
     nullspace_of,
     rank,
@@ -313,6 +315,63 @@ def test_integer_core_matches_the_fraction_reference(rows):
 @example([{0: -1, 1: 2}, {1: 4, 2: -6}, {0: 5, 2: 3}])
 def test_single_loop_matches_the_stepped_reducer(rows):
     assert_matches_stepped(rows)
+
+
+def shifted_nullspace(reducer: RowReducer, ncols: int, first: int):
+    """The former route to the nullspace of the pivot rows with pivot >=
+    ``first``: those rows shifted to column 0 in a second reducer (they have
+    no column below ``first``), then ``nullspace_of`` over ``ncols - first``."""
+    inner = RowReducer()
+    inner.pivot_rows = {
+        col - first: {c - first: v for c, v in row.items()}
+        for col, row in reducer.pivot_rows.items()
+        if col >= first
+    }
+    return nullspace_of(inner, ncols - first)
+
+
+def assert_suffix_matches_the_shifted_copy(reducer: RowReducer, ncols: int, first: int):
+    every = reducer.rref_rows()
+    assert [list(r.items()) for r in reducer.rref_rows(first)] == [
+        list(r.items()) for r in every if min(r) >= first]
+    assert nullspace_of(reducer, ncols, first) == shifted_nullspace(reducer, ncols, first)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-5, 5), max_size=6),
+                max_size=8))
+@example([{0: 1, 3: 2}, {1: 2, 2: -1}, {3: 1, 5: 1}])
+@example([{0: 2, 1: 1}, {1: 3, 4: 1}, {4: 2, 5: -6}])
+def test_suffix_nullspace_matches_the_shifted_copy(rows):
+    reducer = echelon(rows)
+    for first in range(7):
+        assert_suffix_matches_the_shifted_copy(reducer, 6, first)
+
+
+KERNEL_REDUCER_CASES = [
+    (name, k, radius) for name in BUILTINS for k in (1, 2) for radius in (0, 1, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "name,k,radius", KERNEL_REDUCER_CASES,
+    ids=[f"{n}-k{k}r{r}" for n, k, r in KERNEL_REDUCER_CASES],
+)
+def test_kernel_suffix_nullspace_matches_the_shifted_copy(name, k, radius):
+    """At every base, on the smallest window the kernel takes, from the
+    kernel's own first inner column (0 at R = 0, where the inner window is
+    the whole window) and from the end of the column range."""
+    phi = builtin_interaction(name)
+    graph = lattice_window(k, -2 * (radius + 1), 2 * (radius + 1))
+    lo, hi = _inner_window(graph, radius)
+    for base in range(phi.states.n):
+        unknowns = _kernel_unknowns(phi, radius, graph, base)
+        uid = {key: i for i, key in enumerate(unknowns)}
+        reducer = echelon(_kernel_rows(phi, radius, graph, base, uid))
+        first = sum(lam[0] < lo or lam[-1] > hi for lam, _ in unknowns)
+        assert (0 < first) == (radius > 0) and first < len(unknowns)
+        for start in (first, len(unknowns)):
+            assert_suffix_matches_the_shifted_copy(reducer, len(unknowns), start)
 
 
 def recorded_calls(monkeypatch, target, attr, run):

@@ -7,6 +7,7 @@ against the package's Möbius transform of the whole table.
 """
 
 import itertools
+import re
 import time
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticecalc import errors
-from latticecalc.interaction import state_space
+from latticecalc.interaction import builtin_interaction, state_space
 from latticecalc.localfn import (
     ExactSupportFunction,
     LocalFunction,
@@ -148,6 +149,41 @@ def test_exact_support_rejects_base_mass():
     assert is_exact_support(ok, 0)
     # the empty support has no coordinates, so any constant qualifies
     assert is_exact_support(LocalFunction.constant(ST2, 7), 0)
+
+
+BUILTINS = ("exclusion", "multispecies:2", "multispecies:3", "two-species-ac", "quastel2")
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_exact_support_from_entries_matches_the_two_step_route(name):
+    """At every base, ``ExactSupportFunction.from_entries`` with ``base_index``
+    builds what a ``LocalFunction`` from the same entries, re-built as an
+    ``ExactSupportFunction`` over its table, is; every entry a ``Fraction``."""
+    states = builtin_interaction(name).states
+    for base in range(states.n):
+        nonbase = [s for s in range(states.n) if s != base]
+        for support in [(), (3,), (2, -1), (0, 1, 4)]:
+            values = itertools.cycle([1, Fraction(-3, 2), "5/3", 0, -2])
+            entries = dict(zip(itertools.product(nonbase, repeat=len(support)), values))
+            mine = ExactSupportFunction.from_entries(states, support, entries, base_index=base)
+            two_step = LocalFunction.from_entries(states, support, entries)
+            assert mine == ExactSupportFunction(
+                states=states, support=two_step.support, table=two_step.table,
+                base_index=base)
+            assert all(type(v) is Fraction for v in mine.table)
+
+
+@pytest.mark.parametrize("value", [0.5, True, 2.0], ids=["float", "bool", "whole-float"])
+@pytest.mark.parametrize("build", [
+    lambda v: LocalFunction.from_entries(ST2, (0,), {(1,): v}),
+    lambda v: LocalFunction.from_function(ST2, (0,), lambda a: v if a == (1,) else 0),
+    lambda v: LocalFunction.constant(ST2, v),
+    lambda v: ExactSupportFunction.from_entries(ST2, (0,), {(1,): v}, base_index=0),
+], ids=["from_entries", "from_function", "constant", "exact_from_entries"])
+def test_every_builder_refuses_an_inexact_entry_alike(build, value):
+    with pytest.raises(errors.SchemaError,
+                       match=f"^exact rational expected, got {re.escape(repr(value))}$"):
+        build(value)
 
 
 def test_restrict_pins_dropped_sites_to_base():

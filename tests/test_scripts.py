@@ -48,7 +48,7 @@ def test_survey_builtins_prints_finite_h0_and_h1():
 def test_compare_reports_finds_no_difference_between_a_tree_and_itself():
     out = run_script("compare_reports.py", str(ROOT), str(ROOT), "--seeds", "23",
                      "--workloads", "kernel")
-    assert out == "7 ops on 1 workloads and 62 fixed calls, 0 differences\n"
+    assert out == "7 ops on 1 workloads and 63 fixed calls, 0 differences\n"
 
 
 def test_compare_reports_names_every_op_another_tree_answers_differently(tmp_path):
@@ -65,5 +65,5 @@ def test_compare_reports_names_every_op_another_tree_answers_differently(tmp_pat
                for line in lines[:7])
     stdout_lines = [line for line in lines[7:-1] if line.endswith(" stdout differs")]
     assert [line.split(" (")[0] for line in stdout_lines] == [
-        f"fixed call {i}" for i in range(62)]
-    assert lines[-1] == f"7 ops on 1 workloads and 62 fixed calls, {len(lines) - 1} differences"
+        f"fixed call {i}" for i in range(63)]
+    assert lines[-1] == f"7 ops on 1 workloads and 63 fixed calls, {len(lines) - 1} differences"
