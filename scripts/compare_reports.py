@@ -12,7 +12,8 @@ k = 2, whose rows come from two template offsets, a kernel at R = 2 whose
 elimination meets pivot entries other than 1, four kernels whose patterns
 hold many sites off the fired edge (one of them on the smallest window, with
 55 basis functions), and ``consv`` at every base of every
-builtin, not only at the declared one.
+builtin, not only at the declared one.  The two trees answer each call at
+once.
 Stdout, stderr and exit status must be identical.  One line is printed per
 difference, and the exit status is 1 when there is any.
 
@@ -108,22 +109,30 @@ FIXED_CALLS = [
 ]
 
 
-def run_op(root: Path, argv, cwd: Path, pycache: Path):
+def start_op(root: Path, argv, cwd: Path, pycache: Path) -> subprocess.Popen:
     env = {k: v for k, v in os.environ.items()
            if not k.startswith(("PYTHON", "LATTICECALC"))}
     env.update(PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0",
                PYTHONPYCACHEPREFIX=str(pycache))
-    done = subprocess.run([sys.executable, "-c", BOOT, *argv], cwd=cwd, env=env,
-                          stdin=subprocess.DEVNULL, capture_output=True,
-                          timeout=OP_TIMEOUT_S)
-    return done.stdout, done.stderr, done.returncode
+    return subprocess.Popen([sys.executable, "-c", BOOT, *argv], cwd=cwd, env=env,
+                            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
 
 
 def compare_call(old: Path, new: Path, what: str, argv, cwd: Path, scratch: Path) -> int:
     """Print one line per stream on which the trees answer ``argv``
-    differently; return the number of such streams."""
-    before = run_op(old, argv, cwd, scratch / "pycache-old")
-    after = run_op(new, argv, cwd, scratch / "pycache-new")
+    differently; return the number of such streams.  Both trees run at once:
+    no call writes a file, so neither reads what the other leaves."""
+    children = [start_op(old, argv, cwd, scratch / "pycache-old"),
+                start_op(new, argv, cwd, scratch / "pycache-new")]
+    try:
+        before, after = [(*child.communicate(timeout=OP_TIMEOUT_S), child.returncode)
+                         for child in children]
+    except subprocess.TimeoutExpired:
+        for child in children:
+            child.kill()
+            child.communicate()
+        raise
     differences = 0
     for stream, a, b in zip(("stdout", "stderr", "exit status"), before, after):
         if a != b:

@@ -256,13 +256,15 @@ def invariance_kernel(
     that of the rows of every configuration, as ``_template_rows`` shows.
     Components not contained in the inner window are boundary artifacts; the
     reported basis is the canonical basis of the kernel projected onto the
-    inner window, certified by ``_certify_basis`` against every constraint
-    row.
+    inner window, certified by ``_certify_basis`` against every row.
 
-    Inner unknowns are the columns from ``first`` on.  A pivot row with pivot
-    >= ``first`` involves only them; every other pivot row has its own
-    boundary pivot, so those rows fix boundary unknowns whatever the inner
-    values.  The projection is thus the nullspace of the inner pivot rows.
+    Inner unknowns are the columns from ``first`` on.  A row at an inner edge
+    e holds supports T ∪ E with E ⊆ e, inside the inner window exactly when
+    its pattern T is, so no row mixes inner and boundary columns.  The
+    projection is thus the nullspace of the inner pivot rows, read off as
+    ``unknowns[first + col]``.  Each basis function is invariant on its own,
+    with zero boundary components (so a correct projection always passes the
+    certificate), and the boundary rows add only to the reported rank.
     """
     if graph.kind != LATTICE_Z:
         raise SchemaError("invariance kernel needs an integer-lattice window")
@@ -285,9 +287,9 @@ def invariance_kernel(
     basis = []
     for vec in linalg.nullspace_of(reducer, len(unknowns), first):
         entries: dict[tuple, dict] = {}
-        for (lam, entry), value in zip(unknowns[first:], vec):
-            if value:
-                entries.setdefault(lam, {})[entry] = value
+        for col, value in vec.items():
+            lam, entry = unknowns[first + col]
+            entries.setdefault(lam, {})[entry] = value
         comps = {
             lam: ExactSupportFunction.from_entries(phi.states, lam, values, base_index=base)
             for lam, values in entries.items()

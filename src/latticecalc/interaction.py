@@ -362,7 +362,8 @@ def consv_basis(phi: Interaction, base: int) -> list[ConservedQuantity]:
     fold = [e[0] for _, e in columns]
     rows = [{base: 1}, *(linalg.remap(row, fold) for row in templates)]
     return [
-        ConservedQuantity(states=phi.states, values=vec, base_index=base)
+        ConservedQuantity(states=phi.states, values=tuple(vec.get(s, 0) for s in range(n)),
+                          base_index=base)
         for vec in linalg.nullspace(rows, n)
     ]
 

@@ -25,10 +25,10 @@ an exact certificate and an exact fallback.  Integer elimination is exact by
 construction and needs neither.
 
 Elimination always pivots on the smallest column of a row, so ranks, reduced
-echelon forms and nullspace bases are deterministic.  Results leave as the
-canonical reduced echelon form over the rationals (pivot entries 1), built
-by back-substitution over ``Fraction``: each pivot row is divided by its
-pivot entry once and cleared with the reduced rows of larger pivot.
+echelon forms and nullspace bases are deterministic.  Results leave as sparse
+canonical rows: the reduced echelon form over the rationals as ``{column:
+Fraction}`` maps with no zero entry, pivot entry 1 at the smallest column and
+rows ascending by pivot, built by back-substitution over ``Fraction``.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 Row = dict[int, int]
-
-_ZERO = Fraction(0)
 
 
 def remap(row: Row, target) -> Row:
@@ -143,19 +141,12 @@ def rank(rows) -> int:
     return echelon(rows).rank
 
 
-def dense(row: dict[int, Fraction], ncols: int) -> tuple[Fraction, ...]:
-    out = [_ZERO] * ncols
-    for c, v in row.items():
-        out[c] = v
-    return tuple(out)
+def rref_basis(rows) -> list[dict[int, Fraction]]:
+    """Canonical (RREF) basis of the span of ``rows``, as sparse rows."""
+    return echelon(rows).rref_rows()
 
 
-def rref_basis(rows, ncols: int) -> list[tuple[Fraction, ...]]:
-    """Canonical (RREF) basis of the span of ``rows``, as dense vectors."""
-    return [dense(r, ncols) for r in echelon(rows).rref_rows()]
-
-
-def nullspace_of(reducer: RowReducer, ncols: int, first: int = 0) -> list[tuple[Fraction, ...]]:
+def nullspace_of(reducer: RowReducer, ncols: int, first: int = 0) -> list[dict[int, Fraction]]:
     """Canonical basis of the solutions, on columns ``first``.. and indexed from
     ``first``, of the rows held by ``reducer`` whose pivot is at least ``first``."""
     rref = reducer.rref_rows(first)
@@ -169,8 +160,8 @@ def nullspace_of(reducer: RowReducer, ncols: int, first: int = 0) -> list[tuple[
                 vec[min(row) - first] = -coeff
         vectors.append(vec)
     # normalize the basis itself so the output is unique for the solution space
-    return rref_basis(vectors, ncols - first)
+    return rref_basis(vectors)
 
 
-def nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
+def nullspace(rows, ncols: int) -> list[dict[int, Fraction]]:
     return nullspace_of(echelon(rows), ncols)

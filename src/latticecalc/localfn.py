@@ -24,6 +24,7 @@ from .rationals import ensure_fraction, require_int
 from .sitegraph import Site, are_sites
 
 Assignment = tuple[int, ...]
+_ZERO = Fraction(0)  # every omitted entry shares it, so the constructor coerces none
 
 
 def _sorted_support(sites, like: tuple[Site, ...] = ()) -> tuple[Site, ...]:
@@ -108,7 +109,7 @@ class LocalFunction(Record):
                 raise SchemaError(bad.format(key, arity))
             for s in key:
                 require_int(s, bad, 0, states.n, (key, arity))
-        return cls.from_function(states, support, lambda a: entries.get(a, 0), **fields)
+        return cls.from_function(states, support, lambda a: entries.get(a, _ZERO), **fields)
 
     @classmethod
     def zero(cls, states: StateSpace, support=()) -> "LocalFunction":
@@ -116,7 +117,7 @@ class LocalFunction(Record):
         return cls(
             states=states,
             support=supp,
-            table=(Fraction(0),) * _table_size(states, len(supp)),
+            table=(_ZERO,) * _table_size(states, len(supp)),
         )
 
     @classmethod

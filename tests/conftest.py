@@ -113,11 +113,11 @@ def random_configuration(rng: random.Random, graph, states, base, max_occupied=4
 
 
 def add_pair_component_to_kernel_basis(monkeypatch, graph, pair):
-    """Make the kernel's basis step (``linalg.rref_basis`` over the inner
-    columns, called by ``linalg.nullspace_of`` on the inner pivot rows) add 1
-    at entry (1, 1) of the exclusion component on ``pair`` to the first basis
-    vector of an R=1 exclusion kernel on ``graph``."""
-    (a, b), original = graph.window, linalg.rref_basis
+    """Make the kernel's basis step (``linalg.nullspace_of`` on the inner
+    pivot rows, over the inner columns) add 1 at entry (1, 1) of the
+    exclusion component on ``pair`` to the first basis row of an R=1
+    exclusion kernel on ``graph``."""
+    (a, b), original = graph.window, linalg.nullspace_of
     inner = [
         key
         for key in _kernel_unknowns(builtin_interaction("exclusion"), 1, graph, 0)
@@ -125,13 +125,21 @@ def add_pair_component_to_kernel_basis(monkeypatch, graph, pair):
     ]
     col = inner.index((pair, (1, 1)))
 
-    def tampered(rows, ncols):
-        out = original(rows, ncols)
-        if ncols == len(inner):
-            out[0] = tuple(v + (c == col) for c, v in enumerate(out[0]))
+    def tampered(reducer, ncols, first=0):
+        out = original(reducer, ncols, first)
+        if ncols - first == len(inner):
+            row = out[0]
+            row[col] = row.get(col, 0) + 1
+            if not row[col]:
+                del row[col]
         return out
 
-    monkeypatch.setattr(linalg, "rref_basis", tampered)
+    monkeypatch.setattr(linalg, "nullspace_of", tampered)
+
+
+def padded(row, ncols):
+    """A sparse ``{column: value}`` row as the tuple of its ``ncols`` entries."""
+    return tuple(row.get(c, Fraction(0)) for c in range(ncols))
 
 
 def reference_template_rows(phi, reach, j, base):

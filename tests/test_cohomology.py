@@ -25,6 +25,7 @@ from latticecalc.cohomology import (
     CochainSpaceSummary,
     KernelReport,
     _candidate_supports,
+    _inner_window,
     _kernel_rows,
     _kernel_unknowns,
     extract_conserved,
@@ -59,7 +60,12 @@ from latticecalc.uniform import (
     xi_X,
 )
 
-from conftest import CountingPivots, add_pair_component_to_kernel_basis, small_interactions
+from conftest import (
+    CountingPivots,
+    add_pair_component_to_kernel_basis,
+    padded,
+    small_interactions,
+)
 
 EXCLUSION = builtin_interaction("exclusion")
 MS2 = builtin_interaction("multispecies:2")
@@ -1002,14 +1008,16 @@ def reference_component_rows(phi, radius, graph, base, uid, by_site):
 
 def reference_projected_basis(phi, radius, graph, base):
     """The kernel report by the former route: the former column order, the
-    canonical nullspace over every unknown, its dense projection onto the
-    inner columns, a second ``rref_basis``, and tables filled by mixed radix."""
+    canonical nullspace over every unknown, padded, projected onto the inner
+    columns, a second ``rref_basis`` padded again, and tables filled by mixed
+    radix."""
     unknowns = former_unknowns(phi, radius, graph, base)
     uid, by_site = kernel_index(unknowns)
     reducer = linalg.RowReducer()
     for row in reference_admissible_rows(phi, radius, graph, base, uid, by_site):
         reducer.add(row)
-    kernel_vectors = linalg.nullspace_of(reducer, len(unknowns))
+    kernel_vectors = [padded(row, len(unknowns)) for row in linalg.nullspace_of(
+        reducer, len(unknowns))]
     a, b = graph.window
     margin = graph.k * radius
     lo, hi = a + margin, b - margin
@@ -1020,7 +1028,7 @@ def reference_projected_basis(phi, radius, graph, base):
         {new: vec[old] for new, old in enumerate(inner_cols) if vec[old]}
         for vec in kernel_vectors
     ]
-    basis_vectors = linalg.rref_basis(projected, len(inner_cols))
+    basis_vectors = [padded(row, len(inner_cols)) for row in linalg.rref_basis(projected)]
     states = phi.states
     basis = []
     for vec in basis_vectors:
@@ -1162,6 +1170,51 @@ def test_kernel_rows_match_the_keyed_translation_at_k2r2(name):
 @given(phi=small_interactions(), k=st.integers(1, 2), radius=st.integers(0, 1))
 def test_kernel_rows_match_the_keyed_translation_for_generated_interactions(phi, k, radius):
     checked_row_count(phi, radius, smallest_window(k, radius), phi.states.base_index)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's block structure: no row mixes inner and boundary columns
+
+
+def mixed_rows(phi, radius, graph, base):
+    """The rows of ``_kernel_rows`` holding a column below ``first`` (a
+    boundary unknown) and one at or above it (an inner unknown)."""
+    lo, hi = _inner_window(graph, radius)
+    unknowns = _kernel_unknowns(phi, radius, graph, base)
+    uid = {key: i for i, key in enumerate(unknowns)}
+    first = sum(lam[0] < lo or lam[-1] > hi for lam, _ in unknowns)
+    return [row for row in _kernel_rows(phi, radius, graph, base, uid)
+            if min(row) < first <= max(row)]
+
+
+BLOCK_CASES = [
+    (name, k, radius, window)
+    for name in ["exclusion", "multispecies:2", "multispecies:3", "two-species-ac", "quastel2"]
+    for k, radius in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]
+    for window in [(-8, 8), (-10, 10)]
+]
+
+
+@pytest.mark.parametrize(
+    "name,k,radius,window", BLOCK_CASES,
+    ids=[f"{n}-k{k}r{r}-{b}" for n, k, r, (_, b) in BLOCK_CASES],
+)
+def test_no_kernel_row_mixes_inner_and_boundary_columns(name, k, radius, window):
+    """A row at an inner edge e holds supports T ∪ E with E ⊆ e, inside the
+    inner window exactly when its pattern T is; at every base."""
+    phi = builtin_interaction(name)
+    graph = lattice_window(k, *window)
+    for base in range(phi.states.n):
+        assert mixed_rows(phi, radius, graph, base) == [], base
+
+
+@settings(max_examples=40, deadline=None)
+@given(phi=small_interactions(), k=st.integers(1, 2), radius=st.integers(1, 2),
+       extra=st.integers(0, 2))
+def test_no_kernel_row_mixes_inner_and_boundary_columns_for_generated_interactions(
+        phi, k, radius, extra):
+    graph = lattice_window(k, -2 * (radius + 1), 2 * (radius + 1) + extra)
+    assert mixed_rows(phi, radius, graph, phi.states.base_index) == []
 
 
 def test_one_state_interaction_has_an_empty_kernel():

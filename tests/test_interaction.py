@@ -31,7 +31,7 @@ from latticecalc.interaction import (
     state_space,
 )
 
-from conftest import reference_template_rows, small_interactions
+from conftest import padded, reference_template_rows, small_interactions
 
 BUILTINS = ["exclusion", "multispecies:1", "multispecies:2", "multispecies:3",
             "two-species-ac", "quastel2"]
@@ -242,7 +242,7 @@ def reference_consv_vectors(phi, base):
                 row.pop(idx, None)
         if row:
             rows.append(row)
-    return linalg.nullspace(rows, phi.states.n)
+    return [padded(vec, phi.states.n) for vec in linalg.nullspace(rows, phi.states.n)]
 
 
 def assert_consv_matches_every_directed_edge(phi):

@@ -29,7 +29,6 @@ from latticecalc.cohomology import (
 from latticecalc.interaction import builtin_interaction, consv_basis
 from latticecalc.linalg import (
     RowReducer,
-    dense,
     echelon,
     nullspace,
     nullspace_of,
@@ -40,7 +39,7 @@ from latticecalc.linalg import (
 from latticecalc.rationals import ensure_fraction, format_rational, parse_rational
 from latticecalc.sitegraph import cycle_graph, lattice_window, path_graph
 
-from conftest import CountingPivots, reference_template_rows
+from conftest import CountingPivots, padded, reference_template_rows
 
 P61 = 2 ** 61 - 1  # a word-sized prime: its multiples vanish under mod-p elimination
 
@@ -206,7 +205,7 @@ def reference_nullspace(reducer: FractionRowReducer, ncols: int):
             if coeff:
                 vec[min(row)] = -coeff
         basis.add(vec)
-    return [dense(r, ncols) for r in basis.rref_rows()]
+    return basis.rref_rows()
 
 
 def assert_matches_reference(rows, ncols):
@@ -222,7 +221,7 @@ def assert_matches_reference(rows, ncols):
         assert all(type(v) is int for v in row.values())
         assert min(row) == col and row[col] > 0 and gcd(*row.values()) == 1
     assert mine.rref_rows() == ref.rref_rows()
-    assert rref_basis(rows, ncols) == [dense(r, ncols) for r in ref.rref_rows()]
+    assert rref_basis(rows) == ref.rref_rows()
     assert nullspace_of(mine, ncols) == reference_nullspace(ref, ncols)
 
 
@@ -254,14 +253,14 @@ def test_nullspace_vectors_annihilate_and_span(rows):
     assert len(basis) == ncols - rank(rows)
     for vec in basis:
         for row in rows:
-            assert sum(coef * vec[c] for c, coef in row.items()) == 0
+            assert sum(coef * vec.get(c, 0) for c, coef in row.items()) == 0
 
 
 @settings(deadline=None, max_examples=60)
 @given(sparse_rows())
 def test_rref_is_canonical(rows):
     ncols = 5
-    basis = rref_basis(rows, ncols)
+    basis = [padded(row, ncols) for row in rref_basis(rows)]
     pivots = []
     for vec in basis:
         lead = next(i for i, v in enumerate(vec) if v)
@@ -285,7 +284,7 @@ def test_multiples_of_a_word_prime_keep_their_rank():
     assert rank([{0: P61}, {1: 1}]) == 2
     # [p, 2p] vanishes mod p, yet the two rows are independent over Q
     assert rank([{0: P61, 1: 2 * P61}, {0: 1, 1: 3}]) == 2
-    assert nullspace([{0: P61, 1: 2 * P61}], 2) == [(1, Fraction(-1, 2))]
+    assert nullspace([{0: P61, 1: 2 * P61}], 2) == [{0: 1, 1: Fraction(-1, 2)}]
 
 
 mixed_entries = st.one_of(
@@ -346,6 +345,64 @@ def test_suffix_nullspace_matches_the_shifted_copy(rows):
     reducer = echelon(rows)
     for first in range(7):
         assert_suffix_matches_the_shifted_copy(reducer, 6, first)
+
+
+def dense_rref_basis(rows, ncols):
+    """``rref_basis`` as it was: the canonical rows as dense tuples."""
+    out = []
+    for row in echelon(rows).rref_rows():
+        vec = [Fraction(0)] * ncols
+        for c, v in row.items():
+            vec[c] = v
+        out.append(tuple(vec))
+    return out
+
+
+def dense_nullspace_of(reducer: RowReducer, ncols: int, first: int = 0):
+    """``nullspace_of`` as it was: dense tuples over ``ncols - first`` columns."""
+    rref = reducer.rref_rows(first)
+    pivot_set = {min(r) for r in rref}
+    vectors = []
+    for free in (c for c in range(first, ncols) if c not in pivot_set):
+        vec = {free - first: Fraction(1)}
+        for row in rref:
+            coeff = row.get(free)
+            if coeff:
+                vec[min(row) - first] = -coeff
+        vectors.append(vec)
+    return dense_rref_basis(vectors, ncols - first)
+
+
+def assert_sparse_canonical_rows(rows, reference, ncols):
+    """Each row is a ``{column: Fraction}`` map with no zero entry, its pivot
+    entry 1 at its smallest column; the rows ascend by pivot, and padded to
+    ``ncols`` they are the dense ``reference``."""
+    pivots = [min(row) for row in rows]
+    assert pivots == sorted(set(pivots))
+    for row, pivot in zip(rows, pivots):
+        assert all(type(v) is Fraction and v for v in row.values())
+        assert row[pivot] == 1 and max(row) < ncols
+    assert [padded(row, ncols) for row in rows] == reference
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 5), mixed_entries, max_size=6), max_size=7
+    )
+)
+@example([{0: Fraction(2), 3: Fraction(-4)}, {1: Fraction(1, 3), 3: Fraction(1)}])
+@example([{1: Fraction(1), 2: Fraction(-1)}, {4: Fraction(P61), 5: Fraction(2 * P61)}])
+def test_results_are_sparse_canonical_rows(rows):
+    """From ``rref_basis``, ``nullspace`` and ``nullspace_of`` at every
+    ``first``, against the former dense route."""
+    ncols, reducer = 6, echelon(rows)
+    assert_sparse_canonical_rows(rref_basis(rows), dense_rref_basis(rows, ncols), ncols)
+    assert_sparse_canonical_rows(nullspace(rows, ncols), dense_nullspace_of(reducer, ncols),
+                                 ncols)
+    for first in range(ncols + 1):
+        assert_sparse_canonical_rows(nullspace_of(reducer, ncols, first),
+                                     dense_nullspace_of(reducer, ncols, first), ncols - first)
 
 
 KERNEL_REDUCER_CASES = [
@@ -523,10 +580,6 @@ def test_remap_keeps_targets_in_first_seen_order():
        st.permutations(range(10)))
 def test_remap_through_a_one_to_one_target_only_relabels(row, target):
     assert list(remap(row, target).items()) == [(target[c], v) for c, v in row.items()]
-
-
-def test_dense_pads_missing_columns():
-    assert dense({2: Fraction(5)}, 4) == (0, 0, Fraction(5), 0)
 
 
 def test_parse_rational_grammar():
